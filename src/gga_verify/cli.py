@@ -3,8 +3,9 @@
 Four subcommands: `series` prints one generating series, `count` one counting
 value, `hilbert` dumps an ideal with its series by both engines, and `verify`
 streams identity-check reports one JSON object per line.  Exit codes: 0 all
-checks pass, 1 an identity mismatched, 2 usage or parameter error, 3 an
-internal exact-division failure.
+checks pass, 1 an identity mismatched, 2 usage or parameter error (an
+unwritable --out path included), 3 an internal exact-division failure or a
+certified-range violation inside the engine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from typing import Callable, Iterator, TextIO
 
-from .errors import NonDivisible
+from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort
 from .hilbert import GradedQuotient, build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
 from .partitions import IdentityParams, count_C, count_D, count_E, series_E
 from .qseries import eq_up_to
@@ -233,10 +234,13 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
 
     sink: TextIO | None = None
-    try:
-        if getattr(args, "out", None):
+    if getattr(args, "out", None):
+        try:
             sink = open(args.out, "w", encoding="utf-8")
-
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+    try:
         def emit(line: str) -> None:
             target = sink if sink is not None else out_stream
             target.write(line + "\n")
@@ -251,6 +255,9 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         return handler(args, emit)
     except NonDivisible as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
+        return EXIT_ARITHMETIC
+    except (TruncationTooShort, DegreeBeyondTruncation) as exc:
+        print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

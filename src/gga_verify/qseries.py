@@ -9,8 +9,9 @@ certified range by w rather than padding with unspecified values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidPart, NonDivisible, TruncationTooShort
 
@@ -49,16 +50,11 @@ class TruncatedSeries:
         return self.coeffs[j]
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.trunc, other.trunc)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
+        # map stops at the shorter operand, which is the common certified range
+        return TruncatedSeries(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.trunc, other.trunc)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
+        return TruncatedSeries(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         n = min(self.trunc, other.trunc)
@@ -170,6 +166,76 @@ def product_geometric_inverses(parts: Iterable[int], n: int) -> TruncatedSeries:
             raise InvalidPart(f"part size {m} must be positive")
         for j in range(m, n + 1):
             out[j] += out[j - m]
+    return TruncatedSeries(tuple(out))
+
+
+def triple_product_terms(a: int, modulus: int, n: int) -> list[tuple[int, int]]:
+    """Nonzero terms (degree, coefficient) of (q^a, q^(M-a), q^M; q^M)_inf through n.
+
+    Jacobi's triple product gives the sum over m in Z of
+    (-1)^m q^(M m(m-1)/2 + a m), so only O(sqrt(n/M)) degrees are nonzero.
+    Terms come in increasing degree; the first is (0, 1).
+    """
+    if not 0 < a < modulus:
+        raise ValueError(f"need 0 < a < M, got a = {a}, M = {modulus}")
+    if n < 0:
+        raise ValueError(f"negative truncation {n}")
+    terms: dict[int, int] = {}
+    for direction, start in ((1, 0), (-1, 1)):
+        m = start
+        while True:
+            k = direction * m
+            degree = modulus * k * (k - 1) // 2 + a * k
+            if degree > n:
+                break
+            terms[degree] = terms.get(degree, 0) + (-1) ** m
+            m += 1
+    return [(d, c) for d, c in sorted(terms.items()) if c]
+
+
+def pentagonal_terms(k: int, n: int) -> list[tuple[int, int]]:
+    """Nonzero terms of (q^k; q^k)_inf through n: Euler's pentagonal theorem.
+
+    The triple product at a = k, M = 3k: sum of (-1)^m q^(k m(3m-1)/2).
+    """
+    return triple_product_terms(k, 3 * k, n)
+
+
+def mul_sparse(series: TruncatedSeries, terms: Sequence[tuple[int, int]]) -> TruncatedSeries:
+    """series times the polynomial sum c q^d over terms, through series.trunc.
+
+    terms must list every nonzero coefficient of degree <= series.trunc;
+    the cost is O(trunc * len(terms)).
+    """
+    n = series.trunc
+    coeffs = series.coeffs
+    out = [0] * (n + 1)
+    for degree, c in terms:
+        if degree > n:
+            break
+        out[degree:] = [x + c * y for x, y in zip(out[degree:], coeffs)]
+    return TruncatedSeries(tuple(out))
+
+
+def div_sparse(series: TruncatedSeries, terms: Sequence[tuple[int, int]]) -> TruncatedSeries:
+    """series divided by the polynomial sum c q^d over terms, through series.trunc.
+
+    The divisor's constant term must be 1, so the quotient is an integer
+    series, found degree by degree as out[j] = s[j] - sum c * out[j - d]
+    over the terms with 0 < d <= j; the cost is O(trunc * len(terms)).
+    """
+    if not terms or terms[0] != (0, 1):
+        raise ValueError("divisor must have constant term 1")
+    n = series.trunc
+    rest = [(d, c) for d, c in terms[1:] if d <= n]
+    out = list(series.coeffs)
+    for j in range(1, n + 1):
+        acc = out[j]
+        for degree, c in rest:
+            if degree > j:
+                break
+            acc -= c * out[j - degree]
+        out[j] = acc
     return TruncatedSeries(tuple(out))
 
 

@@ -24,19 +24,22 @@ means a transcription bug, and diagnosis needs the witness coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParamOutOfRange
 from .hilbert import hp_notation
-from .partitions import IdentityParams, allowed_parts_C, count_C, count_D, series_E
+from .partitions import IdentityParams, count_C, count_D, series_E
 from .qseries import (
     Mismatch,
     TruncatedSeries,
+    div_sparse,
     eq_up_to,
-    product_geometric_inverses,
+    mul_sparse,
+    pentagonal_terms,
     q_power,
     series_one,
     series_zero,
+    triple_product_terms,
 )
 
 
@@ -47,20 +50,39 @@ def _decompose_index(r: int, index: int) -> tuple[int, int]:
 
 
 def _recursion_padding(r: int, g_stop: int) -> int:
-    """Certified-range loss budget for the level cascade up to g_stop.
+    """Certified-range loss of the level cascade up to g_stop.
 
-    Each level-g entry costs one exact division by q^(2g(i-1)); one extra
-    unit per step keeps the bound a safe overestimate.
+    The level-g entries cost exact divisions by q^(2g(i-1)) for i = 2..r,
+    chained through the previous entry, so the last entry of level g loses
+    g*r*(r-1) degrees on top of its inputs.  The budget is exact for entries
+    with i = r: one degree less and the final truncation raises.
     """
-    return sum(2 * g * (i - 1) + 1 for g in range(1, g_stop + 1) for i in range(2, r + 1))
+    return sum(g * r * (r - 1) for g in range(1, g_stop + 1))
+
+
+def _congruence_bases(r: int, indices: Iterable[int], n: int) -> list[TruncatedSeries]:
+    """Congruence products of the given indices in 1..r, through degree n.
+
+    Index j excludes the parts 2 mod 4 and 0, +-a mod 4r with
+    a = 2r - (2j - 1), so its product factors as D * theta_a with
+        D       = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf),
+        theta_a = (q^a, q^(4r-a), q^(4r); q^(4r))_inf.
+    Every factor is sparse by Euler's pentagonal theorem and Jacobi's triple
+    product (Andrews, The Theory of Partitions, ch. 1-2), so D costs one
+    sparse multiply and two sparse divisions, and each base one multiply.
+    """
+    d = mul_sparse(series_one(n), pentagonal_terms(2, n))
+    d = div_sparse(div_sparse(d, pentagonal_terms(1, n)), pentagonal_terms(4, n))
+    return [mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, n)) for j in indices]
 
 
 def c_series(r: int, index: int, n: int) -> TruncatedSeries:
     """Product-side series of any positive index, certified through degree n.
 
-    Indices 1..r expand the congruence product directly.  Larger indices run
-    the level cascade bottom-up on a padded working truncation so that the
-    certified range still covers n after all exact divisions.
+    Indices 1..r are the congruence products, built from their sparse
+    factorisation (see _congruence_bases).  Larger indices run the level
+    cascade bottom-up on a padded working truncation so that the certified
+    range still covers n after all exact divisions.
     """
     if r < 2:
         raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
@@ -69,14 +91,11 @@ def c_series(r: int, index: int, n: int) -> TruncatedSeries:
     if n < 0:
         raise ParamOutOfRange(f"N = {n} must be nonnegative")
     if index <= r:
-        return product_geometric_inverses(allowed_parts_C(r, index, n), n)
+        return _congruence_bases(r, [index], n)[0]
 
     g_stop, i_stop = _decompose_index(r, index)
     work = n + _recursion_padding(r, g_stop)
-    row = [
-        product_geometric_inverses(allowed_parts_C(r, j, work), work)
-        for j in range(1, r + 1)
-    ]
+    row = _congruence_bases(r, range(1, r + 1), work)
     for g in range(1, g_stop + 1):
         new = [row[r - 1]]
         for i in range(2, r + 1):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gga_verify import cli
+from gga_verify import cli, recursion
 from gga_verify.errors import NonDivisible
 from gga_verify.qseries import TruncatedSeries
 from gga_verify.recursion import CheckReport
@@ -136,6 +136,16 @@ def test_out_flag_writes_file(tmp_path) -> None:
     assert json.loads(target.read_text())["check"] == "main"
 
 
+def test_out_flag_unwritable_is_usage_error(tmp_path, capsys: pytest.CaptureFixture[str]) -> None:
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_table_format() -> None:
     code, out = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "3", "--format", "table")
     assert code == 0
@@ -160,6 +170,19 @@ def test_exit_three_on_divisibility_failure(monkeypatch: pytest.MonkeyPatch) -> 
     monkeypatch.setattr(cli, "c_series", explode)
     code, _ = run_cli("series", "c", "--r", "2", "--index", "3", "--N", "6")
     assert code == 3
+
+
+def test_exit_three_on_certified_range_violation(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # one degree short of the exact cascade padding: index 7 is the i = r entry of level 2
+    exact = recursion._recursion_padding
+    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
+    code, out = run_cli("series", "c", "--r", "3", "--index", "7", "--N", "10")
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("truncation error:") and err.count("\n") == 1
 
 
 def test_module_entry_point() -> None:

@@ -4,16 +4,22 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gga_verify.errors import InvalidPart, NonDivisible, TruncationTooShort
 from gga_verify.qseries import (
     TruncatedSeries,
+    div_sparse,
     eq_up_to,
     from_coeffs,
+    mul_sparse,
+    pentagonal_terms,
     product_geometric_inverses,
     q_power,
     series_one,
     series_zero,
+    triple_product_terms,
 )
 
 from oracles import restricted_partition_count
@@ -135,6 +141,53 @@ def test_truncation_monotonicity_of_product() -> None:
     small = product_geometric_inverses([1, 4, 7], 10)
     large = product_geometric_inverses([1, 4, 7], 25)
     assert large.coeffs[:11] == small.coeffs
+
+
+def test_pentagonal_terms_invert_the_partition_series() -> None:
+    # (q^k;q^k)_inf * prod_{m = 0 mod k} 1/(1 - q^m) = 1
+    assert pentagonal_terms(1, 12) == [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1)]
+    n = 60
+    for k in (1, 2, 4, 7):
+        inverse = product_geometric_inverses(range(k, n + 1, k), n)
+        assert mul_sparse(inverse, pentagonal_terms(k, n)) == series_one(n), k
+
+
+def test_triple_product_terms_invert_the_class_product() -> None:
+    # (q^a, q^(M-a), q^M; q^M)_inf times the product over the three classes is 1,
+    # including a = M/2, where the two sides of the sum share their degrees
+    n = 80
+    for a, modulus in [(1, 8), (3, 8), (5, 12), (2, 4), (3, 6), (1, 2)]:
+        residues = (0, a, modulus - a)  # at a = M/2 the class a counts twice
+        parts = [m for c in residues for m in range(1, n + 1) if m % modulus == c]
+        inverse = product_geometric_inverses(parts, n)
+        assert mul_sparse(inverse, triple_product_terms(a, modulus, n)) == series_one(n)
+    with pytest.raises(ValueError):
+        triple_product_terms(0, 8, 10)
+    with pytest.raises(ValueError):
+        triple_product_terms(8, 8, 10)
+
+
+def test_div_sparse_rejects_non_unit_constant() -> None:
+    with pytest.raises(ValueError):
+        div_sparse(series_one(5), [(0, 2), (1, 1)])
+    with pytest.raises(ValueError):
+        div_sparse(series_one(5), [(1, 1)])
+
+
+_sparse_divisors = st.dictionaries(
+    st.integers(1, 40), st.integers(-3, 3).filter(bool), max_size=6
+).map(lambda rest: [(0, 1)] + sorted(rest.items()))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40),
+    terms=_sparse_divisors,
+)
+def test_sparse_divide_then_multiply_roundtrips(coeffs: list[int], terms) -> None:
+    series = from_coeffs(coeffs)
+    assert mul_sparse(div_sparse(series, terms), terms) == series
+    assert div_sparse(mul_sparse(series, terms), terms) == series
 
 
 def test_eq_up_to() -> None:

@@ -3,10 +3,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gga_verify.errors import ParamOutOfRange
-from gga_verify.partitions import series_E
-from gga_verify.qseries import eq_up_to, from_coeffs, q_power, series_zero
+from gga_verify import recursion
+from gga_verify.errors import ParamOutOfRange, TruncationTooShort
+from gga_verify.partitions import allowed_parts_C, series_E
+from gga_verify.qseries import (
+    eq_up_to,
+    from_coeffs,
+    product_geometric_inverses,
+    q_power,
+    series_zero,
+)
 from gga_verify.recursion import (
     CheckReport,
     Mismatch,
@@ -49,6 +58,53 @@ def test_c_series_truncation_monotonicity() -> None:
     small = c_series(3, 7, 18)
     large = c_series(3, 7, 33)
     assert large.coeffs[:19] == small.coeffs
+
+
+def test_c_series_bases_match_dense_product() -> None:
+    # the pentagonal/triple-product kernel against the direct product expansion
+    n = 300
+    for r in range(2, 7):
+        for index in range(1, r + 1):
+            dense = product_geometric_inverses(allowed_parts_C(r, index, n), n)
+            assert c_series(r, index, n) == dense, (r, index)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data(), r=st.integers(2, 8), n=st.integers(0, 200))
+def test_c_series_bases_match_dense_product_property(data, r: int, n: int) -> None:
+    index = data.draw(st.integers(1, r), label="index")
+    dense = product_geometric_inverses(allowed_parts_C(r, index, n), n)
+    assert c_series(r, index, n) == dense
+
+
+def test_recursion_padding_is_exact_loss() -> None:
+    assert recursion._recursion_padding(4, 15) == 1440
+    assert recursion._recursion_padding(2, 1) == 2
+
+
+def test_c_series_unchanged_by_extra_padding(monkeypatch: pytest.MonkeyPatch) -> None:
+    cases = [(r, index, n) for r in range(2, 6) for index in range(r + 1, 4 * r) for n in (0, 9, 20)]
+    exact = {case: c_series(*case) for case in cases}
+    # the looser budget of one extra degree per division step
+    monkeypatch.setattr(
+        recursion,
+        "_recursion_padding",
+        lambda r, g_stop: sum(2 * g * (i - 1) + 1 for g in range(1, g_stop + 1) for i in range(2, r + 1)),
+    )
+    for case in cases:
+        assert c_series(*case) == exact[case], case
+
+
+def test_padding_one_short_raises_at_last_level_entry(monkeypatch: pytest.MonkeyPatch) -> None:
+    # entries with i = r lose exactly the padding, so one degree less must fail
+    exact = recursion._recursion_padding
+    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
+    for r in range(2, 6):
+        for g in (1, 2, 3):
+            index = (r - 1) * g + r
+            for n in (0, 10):
+                with pytest.raises(TruncationTooShort):
+                    c_series(r, index, n)
 
 
 def test_c_series_validation() -> None:
