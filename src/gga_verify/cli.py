@@ -5,13 +5,17 @@ value, `hilbert` dumps an ideal with its series by both engines, and `verify`
 streams identity-check reports one JSON object per line.  Exit codes: 0 all
 checks pass, 1 an identity mismatched, 2 usage or parameter error (an
 unwritable --out path included), 3 an internal exact-division failure or a
-certified-range violation inside the engine.
+certified-range violation inside the engine, 4 any other internal error,
+reported as one `internal error: <Type>: <message>` line on stderr.  `--out`
+is written to a temporary file beside the target and moved into place only on
+exit 0 or 1, so a failed run leaves the target as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterator, TextIO
 
@@ -34,6 +38,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_ARITHMETIC = 3
+EXIT_INTERNAL = 4
 
 
 def _dumps(obj: object) -> str:
@@ -235,11 +240,14 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
 
     sink: TextIO | None = None
     if getattr(args, "out", None):
+        directory, name = os.path.split(os.path.abspath(args.out))
+        pending = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
         try:
-            sink = open(args.out, "w", encoding="utf-8")
+            sink = open(pending, "x", encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return EXIT_USAGE
+    code = EXIT_INTERNAL
     try:
         def emit(line: str) -> None:
             target = sink if sink is not None else out_stream
@@ -252,19 +260,31 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
             "hilbert": _cmd_hilbert,
             "verify": _cmd_verify,
         }[args.command]
-        return handler(args, emit)
+        code = handler(args, emit)
     except NonDivisible as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
-        return EXIT_ARITHMETIC
+        code = EXIT_ARITHMETIC
     except (TruncationTooShort, DegreeBeyondTruncation) as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
-        return EXIT_ARITHMETIC
+        code = EXIT_ARITHMETIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     finally:
         if sink is not None:
             sink.close()
+            if code in (EXIT_PASS, EXIT_MISMATCH):
+                try:
+                    os.replace(sink.name, args.out)
+                except OSError as exc:
+                    print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+                    code = EXIT_USAGE
+            if code not in (EXIT_PASS, EXIT_MISMATCH):
+                os.unlink(sink.name)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

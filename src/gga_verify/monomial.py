@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DegreeBeyondTruncation
-from .partitions import enumerate_partitions
+from .partitions import _ascending_partitions
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def is_standard(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
     """All standard monomials of the given weight in the ambient ring."""
-    for p in enumerate_partitions(weight, ideal.min_var):
-        m = Monomial.from_parts(p.parts)
+    for parts in _ascending_partitions(weight, ideal.min_var):
+        m = Monomial.from_parts(parts)
         if not ideal.contains(m):
             yield m
 

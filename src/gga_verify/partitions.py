@@ -9,16 +9,18 @@ Three families of partitions of n are counted here:
 * generalized gap side: same difference conditions, all parts greater than
   2J, and at most i-1 parts equal to 2J+1 or 2J+2.
 
-Exhaustive enumeration is the ground truth on the gap side; the congruence
-side is a plain product expansion.  The two are computed by unrelated code
-paths on purpose, so that agreement is evidence rather than tautology.
+Exhaustive enumeration is the ground truth on the gap side.  It runs on one
+iterative generator that lists partitions smallest part first, and the gap
+rule reads parts in either order.  The congruence side is a plain product
+expansion.  The two are computed by unrelated code paths on purpose, so that
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, ParamOutOfRange
 from .qseries import TruncatedSeries, product_geometric_inverses
@@ -77,32 +79,57 @@ class IdentityParams:
         return self.r - self.i + 1
 
 
+def _ascending_partitions(n: int, min_part: int) -> Iterator[list[int]]:
+    """Yield every partition of n with all parts >= min_part, smallest part first.
+
+    This is Kelleher and O'Sullivan's `accel_asc` ("Generating All Partitions:
+    A Comparison of Two Encodings", arXiv:0909.2331) started at a minimum
+    part: amortized O(1) work per partition, no recursion, and no validation.
+    Each yield is a fresh list.  Callers check n >= 0 and min_part >= 1.
+    """
+    if n == 0:
+        yield []
+        return
+    if n < min_part:
+        return
+    a = [0] * (n + 1)
+    a[0] = min_part - 1
+    k = 1
+    y = n - min_part
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        last = k + 1
+        while x <= y:
+            a[k] = x
+            a[last] = y
+            yield a[: k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[: k + 1]
+
+
 def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
     """Yield every partition of n with all parts >= min_part exactly once.
 
     Partitions appear in lexicographically decreasing order of their part
-    sequences, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4.
+    sequences, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4.  The
+    hot counters use `_ascending_partitions` directly; this sorted, validated
+    stream is for callers that want `Partition` objects in a fixed order.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if min_part < 1:
         raise ValueError(f"min_part {min_part} must be >= 1")
-
-    prefix: list[int] = []
-
-    def descend(remaining: int, max_part: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(tuple(prefix))
-            return
-        for first in range(min(remaining, max_part), min_part - 1, -1):
-            rest = remaining - first
-            if rest and rest < min_part:
-                continue
-            prefix.append(first)
-            yield from descend(rest, first)
-            prefix.pop()
-
-    return descend(n, n)
+    stream = [tuple(reversed(a)) for a in _ascending_partitions(n, min_part)]
+    stream.sort(reverse=True)
+    return map(Partition, stream)
 
 
 def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
@@ -129,20 +156,26 @@ def count_C(params: IdentityParams, n: int) -> int:
     return product_geometric_inverses(parts, n)[n]
 
 
-def _gap_conditions_ok(parts: tuple[int, ...], r: int) -> bool:
-    """No odd part repeated; entries r-1 apart differ by >= 2 (odd) / 3 (even)."""
-    s = len(parts)
-    for m in range(s - 1):
-        if parts[m] == parts[m + 1] and parts[m] % 2 == 1:
+def _gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
+    """The difference conditions, for parts sorted in either order.
+
+    No odd value is repeated, and of two entries r-1 positions apart the
+    larger exceeds the smaller by >= 2 if it is odd and >= 3 if it is even.
+    """
+    prev = 0
+    for p in parts:
+        if p == prev and p % 2 == 1:
             return False
-    for m in range(s - (r - 1)):
-        need = 2 if parts[m] % 2 == 1 else 3
-        if parts[m] - parts[m + r - 1] < need:
+        prev = p
+    for a, b in zip(parts, parts[r - 1 :]):
+        if a > b:
+            a, b = b, a
+        if b - a < (2 if b % 2 == 1 else 3):
             return False
     return True
 
 
-def _admissible_D(parts: tuple[int, ...], r: int, i: int) -> bool:
+def _admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
     if not _gap_conditions_ok(parts, r):
         return False
     return sum(1 for p in parts if p <= 2) <= i - 1
@@ -175,7 +208,7 @@ def count_D(r: int, i: int, n: int) -> int:
     measured against.
     """
     _check_rijn(r, i, 0, n)
-    return sum(1 for p in enumerate_partitions(n) if _admissible_D(p.parts, r, i))
+    return sum(1 for a in _ascending_partitions(n, 1) if _admissible_D(a, r, i))
 
 
 def count_E(r: int, i: int, J: int, n: int) -> int:

@@ -1,6 +1,14 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
+
+# pyproject's `pythonpath` puts src/ on sys.path for this process only; export
+# it so that CLI subprocesses started by tests import the same sources.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 class AcceptanceLog:

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately written against different algorithms than the
-package: ascending-order enumeration instead of descending, the classical
-pentagonal-number recurrence instead of product expansion, and literal
-restatements of generator families.  Agreement between these and the package
-is evidence, not circularity.
+package: recursive enumeration instead of the package's iterative generator,
+the classical pentagonal-number recurrence instead of product expansion, and
+literal restatements of generator families.  Agreement between these and the
+package is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -26,6 +26,38 @@ def ascending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]
             acc.pop()
 
     yield from extend(n, min_part, [])
+
+
+def descending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as non-increasing tuples, in decreasing lex order."""
+    prefix: list[int] = []
+
+    def descend(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for first in range(min(remaining, max_part), min_part - 1, -1):
+            rest = remaining - first
+            if rest and rest < min_part:
+                continue
+            prefix.append(first)
+            yield from descend(rest, first)
+            prefix.pop()
+
+    yield from descend(n, n)
+
+
+def gap_conditions_descending(parts: tuple[int, ...], r: int) -> bool:
+    """The difference conditions read literally on non-increasing parts."""
+    s = len(parts)
+    for m in range(s - 1):
+        if parts[m] == parts[m + 1] and parts[m] % 2 == 1:
+            return False
+    for m in range(s - (r - 1)):
+        need = 2 if parts[m] % 2 == 1 else 3
+        if parts[m] - parts[m + r - 1] < need:
+            return False
+    return True
 
 
 def restricted_partition_count(n: int, allowed: Sequence[int]) -> int:

@@ -193,3 +193,62 @@ def test_module_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"trunc":6,"coeffs":["1","1","1","1","2","2","2"]}\n'
+
+
+def test_exit_four_on_internal_error(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def explode(*args: object) -> int:
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(cli, "_cmd_count", explode)
+    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert capsys.readouterr().err == "internal error: RuntimeError: synthetic\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
+    def interrupt(*args: object) -> int:
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_count", interrupt)
+    target = tmp_path / "count.json"
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5", "--out", str(target))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_flag_keeps_old_file_on_failed_run(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
+    target = tmp_path / "series.json"
+    target.write_text("old content\n")
+    exact = recursion._recursion_padding
+    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
+    code, out = run_cli("series", "c", "--r", "3", "--index", "7", "--N", "10", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert target.read_text() == "old content\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_flag_replaces_old_file_on_mismatch(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
+    target = tmp_path / "reports.jsonl"
+    target.write_text("old content\n")
+    failing = CheckReport("main", {"r": 2}, False, None, 8)
+    monkeypatch.setattr(cli, "verify_main", lambda *a: failing)
+    code, _ = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
+    assert code == 1
+    assert json.loads(target.read_text())["pass"] is False
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_flag_directory_target_is_usage_error(
+    tmp_path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, _ = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gga_verify.errors import IndexOutOfRange, ParamOutOfRange
 from gga_verify.partitions import (
     IdentityParams,
     Partition,
     _admissible_D,
+    _ascending_partitions,
+    _gap_conditions_ok,
     _admissible_E,
     allowed_parts_C,
     count_C,
@@ -17,7 +21,13 @@ from gga_verify.partitions import (
     series_E,
 )
 
-from oracles import ascending_partitions, classical_partition_count, restricted_partition_count
+from oracles import (
+    ascending_partitions,
+    classical_partition_count,
+    descending_partitions,
+    gap_conditions_descending,
+    restricted_partition_count,
+)
 
 
 def test_partition_validation() -> None:
@@ -195,3 +205,31 @@ def test_series_E_coefficients_are_counts() -> None:
 def test_partitions_json_dump() -> None:
     assert partitions_json(4) == "[[4],[3,1],[2,2],[2,1,1],[1,1,1,1]]"
     assert partitions_json(0) == "[[]]"
+
+
+def test_ascending_partitions_match_recursive_oracle() -> None:
+    # every minimum part from 1 to n + 1, so n = 0 and 0 < n < min_part are covered
+    for n in range(26):
+        for min_part in range(1, n + 2):
+            got = sorted(tuple(reversed(a)) for a in _ascending_partitions(n, min_part))
+            assert got == sorted(descending_partitions(n, min_part)), (n, min_part)
+            assert all(a == sorted(a) for a in _ascending_partitions(n, min_part))
+    assert list(_ascending_partitions(0, 3)) == [[]]
+    assert list(_ascending_partitions(2, 3)) == []
+
+
+def test_count_D_matches_descending_filter_oracle() -> None:
+    streams = [list(descending_partitions(n)) for n in range(23)]
+    for r in range(2, 7):
+        for i in range(1, r + 1):
+            for n, stream in enumerate(streams):
+                brute = sum(_admissible_D(p, r, i) for p in stream)
+                assert count_D(r, i, n) == brute, (r, i, n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(parts=st.lists(st.integers(1, 30), max_size=12), r=st.integers(2, 6))
+def test_gap_conditions_independent_of_order(parts: list[int], r: int) -> None:
+    p = tuple(sorted(parts, reverse=True))
+    assert _gap_conditions_ok(p, r) == _gap_conditions_ok(p[::-1], r)
+    assert _gap_conditions_ok(p, r) == gap_conditions_descending(p, r)
