@@ -134,6 +134,8 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    if args.kind in ("c", "d") and args.J != 0:
+        raise ValueError(f"count {args.kind} is a level-zero count: --J must be 0, not {args.J}")
     if args.kind == "c":
         value = count_C(IdentityParams(args.r, args.i, args.J, args.n), args.n)
     elif args.kind == "d":

@@ -9,10 +9,12 @@ Three families of partitions of n are counted here:
 * generalized gap side: same difference conditions, all parts greater than
   2J, and at most i-1 parts equal to 2J+1 or 2J+2.
 
-Exhaustive enumeration is the ground truth on the gap side.  It runs on one
-iterative generator that lists partitions smallest part first, and the gap
-rule reads parts in either order.  The congruence side is a plain product
-expansion.  The two are computed by unrelated code paths on purpose, so that
+The generalized gap side is one forward dynamic-programming pass over the
+weight (`series_E`).  `count_D` filters every partition, listed smallest part
+first by one iterative generator, through a gap rule that reads parts in
+either order.  The enumeration oracles, the pruned gap-side walk included,
+live in `tests/oracles.py`.  The congruence side is a plain product
+expansion.  The sides run on unrelated code paths on purpose, so that
 agreement is evidence rather than tautology.
 """
 
@@ -204,7 +206,7 @@ def count_D(r: int, i: int, n: int) -> int:
     """Gap-side count at level zero, by filtered exhaustive enumeration.
 
     Deliberately the dumb path: generate every partition of n and filter.
-    This is the oracle that the pruned counter and the algebra engines are
+    This is the oracle that the gap-side DP and the algebra engines are
     measured against.
     """
     _check_rijn(r, i, 0, n)
@@ -212,49 +214,40 @@ def count_D(r: int, i: int, n: int) -> int:
 
 
 def count_E(r: int, i: int, J: int, n: int) -> int:
-    """Generalized gap-side count, by pruned exhaustive enumeration.
-
-    Parts are generated in non-increasing order with three cuts: the running
-    upper bound forced by the difference condition against the part r-1
-    positions earlier, a skip on repeating an odd value, and an abort once
-    more than i-1 parts of size 2J+1 or 2J+2 have been placed (later parts
-    are no larger, so the bound can never recover).
-    """
-    _check_rijn(r, i, J, n)
-    min_part = 2 * J + 1
-    boundary_top = 2 * J + 2
-    placed: list[int] = []
-
-    def count(remaining: int, budget: int) -> int:
-        if remaining == 0:
-            return 1
-        hi = min(remaining, placed[-1] if placed else remaining)
-        t = len(placed)
-        if t >= r - 1:
-            anchor = placed[t - (r - 1)]
-            hi = min(hi, anchor - (2 if anchor % 2 == 1 else 3))
-        total = 0
-        for v in range(hi, min_part - 1, -1):
-            if v % 2 == 1 and placed and placed[-1] == v:
-                continue
-            rest = remaining - v
-            if rest and rest < min_part:
-                continue
-            b = budget - 1 if v <= boundary_top else budget
-            if b < 0:
-                break
-            placed.append(v)
-            total += count(rest, b)
-            placed.pop()
-        return total
-
-    return count(n, i - 1)
+    """Generalized gap-side count: the coefficient of q^n in `series_E`."""
+    return series_E(r, i, J, n)[n]
 
 
 def series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
-    """Generating series of the generalized gap-side counts through degree n."""
+    """Generating series of the generalized gap-side counts through degree n.
+
+    One forward pass over the weight builds the admissible partitions
+    smallest part first, with no recursion.  `layers[w]` counts those of
+    weight w by state: the last r-1 parts and the remaining budget of parts
+    <= 2J+2.  Admissibility is prefix-closed, so coefficient w is the sum of
+    layer w.  After a part above 2J+2 every later part is above it too, so
+    the budget drops to 0 and equal states merge.
+    """
     _check_rijn(r, i, J, n)
-    return TruncatedSeries(tuple(count_E(r, i, J, j) for j in range(n + 1)))
+    width, top = r - 1, 2 * J + 2
+    layers: list[dict | None] = [{((), i - 1): 1}] + [{} for _ in range(n)]
+    coeffs = []
+    for w in range(n + 1):
+        layer, layers[w] = layers[w], None
+        coeffs.append(sum(layer.values()))
+        for (tail, budget), ways in layer.items():
+            anchor = tail[0] if len(tail) == width else None
+            for v in range(tail[-1] if tail else top - 1, n - w + 1):
+                if v % 2 == 1 and tail and v == tail[-1]:
+                    continue
+                if anchor is not None and v - anchor < (2 if v % 2 == 1 else 3):
+                    continue
+                if v <= top and not budget:
+                    continue
+                key = ((tail + (v,))[-width:], budget - 1 if v <= top else 0)
+                target = layers[w + v]
+                target[key] = target.get(key, 0) + ways
+    return TruncatedSeries(tuple(coeffs))
 
 
 def partitions_json(n: int, min_part: int = 1) -> str:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written against different algorithms than the
 package: recursive enumeration instead of the package's iterative generator,
-the classical pentagonal-number recurrence instead of product expansion, and
-literal restatements of generator families.  Agreement between these and the
-package is evidence, not circularity.
+a pruned depth-first walk over whole partitions instead of the package's
+forward dynamic programme for the gap side, the classical pentagonal-number
+recurrence instead of product expansion, and literal restatements of
+generator families.  Agreement between these and the package is evidence,
+not circularity.
 """
 
 from __future__ import annotations
@@ -58,6 +60,46 @@ def gap_conditions_descending(parts: tuple[int, ...], r: int) -> bool:
         if parts[m] - parts[m + r - 1] < need:
             return False
     return True
+
+
+def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
+    """Generalized gap-side count of n, by pruned exhaustive enumeration.
+
+    Parts are generated in non-increasing order with three cuts: the running
+    upper bound forced by the difference condition against the part r-1
+    positions earlier, a skip on repeating an odd value, and an abort once
+    more than i-1 parts of size 2J+1 or 2J+2 have been placed (later parts
+    are no larger, so the bound can never recover).  Exponential in n; keep
+    n small.
+    """
+    min_part = 2 * J + 1
+    boundary_top = 2 * J + 2
+    placed: list[int] = []
+
+    def count(remaining: int, budget: int) -> int:
+        if remaining == 0:
+            return 1
+        hi = min(remaining, placed[-1] if placed else remaining)
+        t = len(placed)
+        if t >= r - 1:
+            anchor = placed[t - (r - 1)]
+            hi = min(hi, anchor - (2 if anchor % 2 == 1 else 3))
+        total = 0
+        for v in range(hi, min_part - 1, -1):
+            if v % 2 == 1 and placed and placed[-1] == v:
+                continue
+            rest = remaining - v
+            if rest and rest < min_part:
+                continue
+            b = budget - 1 if v <= boundary_top else budget
+            if b < 0:
+                break
+            placed.append(v)
+            total += count(rest, b)
+            placed.pop()
+        return total
+
+    return count(n, i - 1)
 
 
 def restricted_partition_count(n: int, allowed: Sequence[int]) -> int:

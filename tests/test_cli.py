@@ -63,6 +63,20 @@ def test_count_commands() -> None:
     assert json.loads(out_e)["count"] == "1"
 
 
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_count_level_zero_kinds_reject_nonzero_J(
+    kind: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code, out = run_cli("count", kind, "--r", "2", "--i", "1", "--J", "1", "--n", "9")
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: count {kind} is a level-zero count") and err.count("\n") == 1
+    code, out = run_cli("count", kind, "--r", "2", "--i", "1", "--J", "0", "--n", "9")
+    assert code == 0
+    assert json.loads(out)["params"] == {"r": 2, "i": 1, "J": 0}
+
+
 def test_hilbert_families() -> None:
     code, out = run_cli("hilbert", "--family", "LriJ", "--r", "2", "--i", "2", "--J", "0", "--N", "20")
     assert code == 0

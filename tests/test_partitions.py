@@ -20,12 +20,14 @@ from gga_verify.partitions import (
     partitions_json,
     series_E,
 )
+from gga_verify.recursion import c_series
 
 from oracles import (
     ascending_partitions,
     classical_partition_count,
     descending_partitions,
     gap_conditions_descending,
+    pruned_count_E,
     restricted_partition_count,
 )
 
@@ -233,3 +235,25 @@ def test_gap_conditions_independent_of_order(parts: list[int], r: int) -> None:
     p = tuple(sorted(parts, reverse=True))
     assert _gap_conditions_ok(p, r) == _gap_conditions_ok(p[::-1], r)
     assert _gap_conditions_ok(p, r) == gap_conditions_descending(p, r)
+
+
+def test_series_E_matches_pruned_walk_grid() -> None:
+    for r in range(2, 7):
+        for i in range(1, r + 1):
+            for J in range(3):
+                walk = tuple(pruned_count_E(r, i, J, m) for m in range(31))
+                assert series_E(r, i, J, 30).coeffs == walk, (r, i, J)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(2, 6), J=st.integers(0, 3), n=st.integers(0, 40))
+def test_series_E_equals_pruned_walk(data: st.DataObject, r: int, J: int, n: int) -> None:
+    i = data.draw(st.integers(1, r), label="i")
+    walk = tuple(pruned_count_E(r, i, J, m) for m in range(n + 1))
+    assert series_E(r, i, J, n).coeffs == walk
+
+
+def test_series_E_reaches_level_zero_identity_at_200() -> None:
+    # far beyond the pruned walk: at J = 0 the gap side is the product of index r - i + 1
+    for i in (1, 2):
+        assert series_E(2, i, 0, 200) == c_series(2, 3 - i, 200), i

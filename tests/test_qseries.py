@@ -104,6 +104,36 @@ def test_ring_laws_on_random_triples() -> None:
         assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
 
 
+_series = st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12).map(from_coeffs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=_series, b=_series, c=_series)
+def test_ring_laws_hold_across_truncations(
+    a: TruncatedSeries, b: TruncatedSeries, c: TruncatedSeries
+) -> None:
+    # operands may differ in truncation; every result is certified through the shortest
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * (b - c) == a * b - a * c
+    assert (a - b) + b == a.truncated(min(a.trunc, b.trunc))
+    assert a - a == series_zero(a.trunc)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), a=_series, b=_series)
+def test_truncation_commutes_with_arithmetic(
+    data: st.DataObject, a: TruncatedSeries, b: TruncatedSeries
+) -> None:
+    m = data.draw(st.integers(0, min(a.trunc, b.trunc)), label="m")
+    assert (a * b).truncated(m) == a.truncated(m) * b.truncated(m)
+    assert (a + b).truncated(m) == a.truncated(m) + b.truncated(m)
+    assert (a - b).truncated(m) == a.truncated(m) - b.truncated(m)
+
+
 def test_product_geometric_inverses_single_part() -> None:
     assert product_geometric_inverses([1], 4).coeffs == (1, 1, 1, 1, 1)
 
