@@ -28,7 +28,6 @@ from .monomial import (
     MonomialIdeal,
     add_var,
     colon_var,
-    is_standard,
     minimalize,
     standard_count,
 )
@@ -40,7 +39,6 @@ from .partitions import (
     count_D,
     count_E,
     enumerate_partitions,
-    partitions_json,
     series_E,
 )
 from .qseries import (
@@ -98,9 +96,7 @@ __all__ = [
     "hp_brute",
     "hp_notation",
     "hp_split",
-    "is_standard",
     "minimalize",
-    "partitions_json",
     "product_geometric_inverses",
     "q_power",
     "series_E",

@@ -5,10 +5,11 @@ value, `hilbert` dumps an ideal with its series by both engines, and `verify`
 streams identity-check reports one JSON object per line.  Exit codes: 0 all
 checks pass, 1 an identity mismatched, 2 usage or parameter error (an
 unwritable --out path included), 3 an internal exact-division failure or a
-certified-range violation inside the engine, 4 any other internal error,
-reported as one `internal error: <Type>: <message>` line on stderr.  `--out`
-is written to a temporary file beside the target and moved into place only on
-exit 0 or 1, so a failed run leaves the target as it was.
+certified-range violation inside the engine, 4 any other internal error
+(a reader that closes the output early included), reported as one
+`internal error: <Type>: <message>` line on stderr when stderr is open.
+`--out` is written to a temporary file beside the target and moved into
+place only on exit 0 or 1, so a failed run leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from typing import Callable, Iterator, TextIO
 
-from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort
+from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort, check_params
 from .hilbert import GradedQuotient, build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
 from .partitions import IdentityParams, count_C, count_D, count_E, series_E
 from .qseries import eq_up_to
@@ -39,6 +40,14 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_ARITHMETIC = 3
 EXIT_INTERNAL = 4
+
+
+def _warn(line: str) -> None:
+    """Write one line to stderr; a reader that went away must not change the exit code."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 def _dumps(obj: object) -> str:
@@ -106,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--J", default="0", metavar="A[..B]")
     p_verify.add_argument("--N", type=int, default=40)
     p_verify.add_argument("--lemmas", action="store_true", help="add lemma-level checks")
-    p_verify.add_argument(
-        "--ordered",
-        action="store_true",
-        help="guarantee parameter order in the stream (always true of this runner)",
-    )
     p_verify.add_argument("--format", choices=["json", "table"], default="json")
     p_verify.add_argument("--out", metavar="PATH")
     return parser
@@ -137,7 +141,7 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     if args.kind in ("c", "d") and args.J != 0:
         raise ValueError(f"count {args.kind} is a level-zero count: --J must be 0, not {args.J}")
     if args.kind == "c":
-        value = count_C(IdentityParams(args.r, args.i, args.J, args.n), args.n)
+        value = count_C(IdentityParams(args.r, args.i, args.J), args.n)
     elif args.kind == "d":
         value = count_D(args.r, args.i, args.n)
     else:
@@ -203,7 +207,7 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
         i_values = list(range(1, r + 1)) if i_selector is None else i_selector
         for i in i_values:
             for J in j_values:
-                IdentityParams(r, i, J, n)  # fail fast before any computation
+                check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
     for r in r_values:
         i_values = list(range(1, r + 1)) if i_selector is None else i_selector
         for i in i_values:
@@ -247,7 +251,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         try:
             sink = open(pending, "x", encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            _warn(f"error: cannot write --out {args.out}: {exc.strerror}")
             return EXIT_USAGE
     code = EXIT_INTERNAL
     try:
@@ -264,16 +268,16 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         }[args.command]
         code = handler(args, emit)
     except NonDivisible as exc:
-        print(f"arithmetic error: {exc}", file=sys.stderr)
+        _warn(f"arithmetic error: {exc}")
         code = EXIT_ARITHMETIC
     except (TruncationTooShort, DegreeBeyondTruncation) as exc:
-        print(f"truncation error: {exc}", file=sys.stderr)
+        _warn(f"truncation error: {exc}")
         code = EXIT_ARITHMETIC
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         code = EXIT_USAGE
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _warn(f"internal error: {type(exc).__name__}: {exc}")
         code = EXIT_INTERNAL
     finally:
         if sink is not None:
@@ -282,7 +286,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
                 try:
                     os.replace(sink.name, args.out)
                 except OSError as exc:
-                    print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+                    _warn(f"error: cannot write --out {args.out}: {exc.strerror}")
                     code = EXIT_USAGE
             if code not in (EXIT_PASS, EXIT_MISMATCH):
                 os.unlink(sink.name)
@@ -290,7 +294,19 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+    code = run(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # The reader went away.  Python flushes both streams again at
+            # shutdown, and a failure there would replace the exit code, so
+            # what is left goes to os.devnull (see the SIGPIPE note in the
+            # documentation of the signal module).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParamOutOfRange
+from .errors import check_params
 from .monomial import Monomial, MonomialIdeal, add_var, colon_var, standard_count
 from .qseries import TruncatedSeries, product_geometric_inverses
 
@@ -63,11 +63,6 @@ def _gap_family_gens(start: int, r: int, n: int) -> list[Monomial]:
     return [g for g in gens if g.weight <= n]
 
 
-def _check_r(r: int) -> None:
-    if r < 2:
-        raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
-
-
 def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
     """Boundary ideal in the ring on x_{2J+1}, x_{2J+2}, ...
 
@@ -75,11 +70,7 @@ def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
     gap families anchored at 2J+2.  At i = 1 the middle generator degenerates
     to x_{2J+1}, which then subsumes the square.
     """
-    _check_r(r)
-    if not 1 <= i <= r:
-        raise ParamOutOfRange(f"i = {i} outside 1..{r}")
-    if J < 0:
-        raise ParamOutOfRange(f"J = {J} must be nonnegative")
+    check_params(r=r, i=i, J=J, n=n)
     k0 = 2 * J + 1
     gens = [
         _x(k0, 2),
@@ -92,9 +83,7 @@ def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
 
 def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
     """Pure gap-family ideal anchored at k, in the ring on x_k, x_{k+1}, ..."""
-    _check_r(r)
-    if k < 1:
-        raise ParamOutOfRange(f"k = {k} must be >= 1")
+    check_params(r=r, k=k, n=n)
     return MonomialIdeal.build(_gap_family_gens(k, r, n), k, n)
 
 
@@ -108,11 +97,7 @@ def build_L_k_ell(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
     ranges contribute nothing, so ell = 1 at even k is just (x_k) plus the
     family ideal.
     """
-    _check_r(r)
-    if not 1 <= ell <= r:
-        raise ParamOutOfRange(f"ell = {ell} outside 1..{r}")
-    if k < 1:
-        raise ParamOutOfRange(f"k = {k} must be >= 1")
+    check_params(r=r, k=k, ell=ell, n=n)
     gens: list[Monomial] = []
     j = k
     if j % 2 == 1:
@@ -182,8 +167,7 @@ def hp_split(quotient: GradedQuotient) -> TruncatedSeries:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        added = add_var(ideal, pivot)
-        out = list(solve(MonomialIdeal.build(added.gens, min_var, budget), budget))
+        out = list(solve(add_var(ideal, pivot), budget))
         sub_budget = budget - pivot
         if sub_budget >= 0:
             col = colon_var(ideal, pivot)
@@ -213,9 +197,5 @@ def hp_notation(k: int, ell: int | None, r: int, n: int) -> TruncatedSeries:
 
     The cache is safe to share: inputs fully determine the immutable result.
     """
-    _check_r(r)
-    if ell is not None and not 1 <= ell <= r:
-        raise ParamOutOfRange(f"ell = {ell} outside 1..{r}")
-    if k < 1 or n < 0:
-        raise ParamOutOfRange(f"k = {k}, N = {n} must be positive / nonnegative")
+    check_params(r=r, k=k, ell=ell, n=n)
     return _hp_notation_cached(k, ell, r, n)

@@ -172,14 +172,6 @@ def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     )
 
 
-def is_standard(ideal: MonomialIdeal, m: Monomial) -> bool:
-    """True iff no generator divides m, i.e. m survives in the quotient."""
-    mv = m.min_variable()
-    if mv is not None and mv < ideal.min_var:
-        raise ValueError(f"{m} uses x_{mv} below the ambient ring x_{ideal.min_var}")
-    return not ideal.contains(m)
-
-
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
     """All standard monomials of the given weight in the ambient ring."""
     for parts in _ascending_partitions(weight, ideal.min_var):

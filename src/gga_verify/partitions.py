@@ -20,11 +20,10 @@ agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import IndexOutOfRange, ParamOutOfRange
+from .errors import IndexOutOfRange, check_params
 from .qseries import TruncatedSeries, product_geometric_inverses
 
 
@@ -43,13 +42,6 @@ class Partition:
                 raise ValueError(f"parts not non-increasing: {self.parts}")
             prev = p
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def multiplicity(self, value: int) -> int:
-        return sum(1 for p in self.parts if p == value)
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -67,14 +59,7 @@ class IdentityParams:
     N: int = 0
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ParamOutOfRange(f"r = {self.r} but the identities require r >= 2")
-        if not 1 <= self.i <= self.r:
-            raise ParamOutOfRange(f"i = {self.i} outside 1..{self.r}")
-        if self.J < 0:
-            raise ParamOutOfRange(f"J = {self.J} must be nonnegative")
-        if self.N < 0:
-            raise ParamOutOfRange(f"N = {self.N} must be nonnegative")
+        check_params(r=self.r, i=self.i, J=self.J, N=self.N)
 
     @property
     def ell(self) -> int:
@@ -125,10 +110,7 @@ def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
     hot counters use `_ascending_partitions` directly; this sorted, validated
     stream is for callers that want `Partition` objects in a fixed order.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    if min_part < 1:
-        raise ValueError(f"min_part {min_part} must be >= 1")
+    check_params(n=n, min_part=min_part)
     stream = [tuple(reversed(a)) for a in _ascending_partitions(n, min_part)]
     stream.sort(reverse=True)
     return map(Partition, stream)
@@ -140,10 +122,9 @@ def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
     A part m is admissible when m is not 2 mod 4, not 0 mod 4r, and not
     congruent to 2r +- (2*index - 1) mod 4r.
     """
-    if r < 2:
-        raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
+    check_params(r=r, n=n)
     if not 1 <= index <= r:
-        raise IndexOutOfRange(f"index {index} outside 1..{r}")
+        raise IndexOutOfRange(f"index = {index} violates 1 <= index <= {r}")
     modulus = 4 * r
     odd = 2 * index - 1
     banned = {0, (2 * r + odd) % modulus, (2 * r - odd) % modulus}
@@ -152,8 +133,7 @@ def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
 
 def count_C(params: IdentityParams, n: int) -> int:
     """Partitions of n into admissible congruence-side parts (index ell)."""
-    if n < 0:
-        raise ParamOutOfRange(f"n = {n} must be nonnegative")
+    check_params(n=n)
     parts = allowed_parts_C(params.r, params.ell, n)
     return product_geometric_inverses(parts, n)[n]
 
@@ -183,25 +163,6 @@ def _admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
     return sum(1 for p in parts if p <= 2) <= i - 1
 
 
-def _admissible_E(parts: tuple[int, ...], r: int, i: int, J: int) -> bool:
-    if parts and parts[-1] <= 2 * J:
-        return False
-    if not _gap_conditions_ok(parts, r):
-        return False
-    return sum(1 for p in parts if p <= 2 * J + 2) <= i - 1
-
-
-def _check_rijn(r: int, i: int, J: int, n: int) -> None:
-    if r < 2:
-        raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
-    if not 1 <= i <= r:
-        raise ParamOutOfRange(f"i = {i} outside 1..{r}")
-    if J < 0:
-        raise ParamOutOfRange(f"J = {J} must be nonnegative")
-    if n < 0:
-        raise ParamOutOfRange(f"n = {n} must be nonnegative")
-
-
 def count_D(r: int, i: int, n: int) -> int:
     """Gap-side count at level zero, by filtered exhaustive enumeration.
 
@@ -209,7 +170,7 @@ def count_D(r: int, i: int, n: int) -> int:
     This is the oracle that the gap-side DP and the algebra engines are
     measured against.
     """
-    _check_rijn(r, i, 0, n)
+    check_params(r=r, i=i, n=n)
     return sum(1 for a in _ascending_partitions(n, 1) if _admissible_D(a, r, i))
 
 
@@ -228,7 +189,7 @@ def series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
     layer w.  After a part above 2J+2 every later part is above it too, so
     the budget drops to 0 and equal states merge.
     """
-    _check_rijn(r, i, J, n)
+    check_params(r=r, i=i, J=J, n=n)
     width, top = r - 1, 2 * J + 2
     layers: list[dict | None] = [{((), i - 1): 1}] + [{} for _ in range(n)]
     coeffs = []
@@ -249,8 +210,3 @@ def series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
                 target[key] = target.get(key, 0) + ways
     return TruncatedSeries(tuple(coeffs))
 
-
-def partitions_json(n: int, min_part: int = 1) -> str:
-    """Debugging dump: the partition stream as a JSON array of part arrays."""
-    stream = enumerate_partitions(n, min_part)
-    return json.dumps([list(p.parts) for p in stream], separators=(",", ":"))

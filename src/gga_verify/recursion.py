@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, check_params
 from .hilbert import hp_notation
 from .partitions import IdentityParams, count_C, count_D, series_E
 from .qseries import (
@@ -84,12 +84,7 @@ def c_series(r: int, index: int, n: int) -> TruncatedSeries:
     cascade bottom-up on a padded working truncation so that the certified
     range still covers n after all exact divisions.
     """
-    if r < 2:
-        raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
-    if index < 1:
-        raise ParamOutOfRange(f"index {index} must be positive")
-    if n < 0:
-        raise ParamOutOfRange(f"N = {n} must be nonnegative")
+    check_params(r=r, index=index, n=n)
     if index <= r:
         return _congruence_bases(r, [index], n)[0]
 
@@ -139,18 +134,11 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
         entry(j, d+1) = q^(2(d+1)(j-1)) * sum_{m=1}^{r-j+1} entry(m, d)
                       + q^(2(d+1)j - 1) * sum_{m=1}^{r-j}   entry(m, d).
     """
+    check_params(r=r, J=J, anchor=anchor, n=n)
     if kind not in ("M", "N"):
-        raise ParamOutOfRange(f"kind {kind!r} must be 'M' or 'N'")
-    if r < 2:
-        raise ParamOutOfRange(f"r = {r} but r >= 2 is required")
-    if J < 0:
-        raise ParamOutOfRange(f"J = {J} must be nonnegative")
-    if not 1 <= anchor <= r:
-        raise ParamOutOfRange(f"anchor {anchor} outside 1..{r}")
+        raise ParamOutOfRange(f"kind = {kind!r} violates kind in ('M', 'N')")
     if d_max < J + 1:
-        raise ParamOutOfRange(f"d_max = {d_max} below the initial depth {J + 1}")
-    if n < 0:
-        raise ParamOutOfRange(f"N = {n} must be nonnegative")
+        raise ParamOutOfRange(f"d_max = {d_max} violates d_max >= J+1 = {J + 1}")
 
     pivot = anchor if kind == "N" else r - anchor + 1
     entries: dict[tuple[int, int], TruncatedSeries] = {}
@@ -229,10 +217,9 @@ def verify_hp_step(r: int, k: int, ell: int, J: int, n: int) -> CheckReport:
     the step degenerates to HP(k, 1) = HP(k+2, plain)) and the even-index
     cascade HP(k+1, ell) = sum_{j=1}^{ell} q^((k+1)(j-1)) HP(k+2, r-j+1).
     """
+    check_params(r=r, k=k, ell=ell, J=J, n=n)
     if k % 2 == 0 or k < 2 * J + 1:
-        raise ParamOutOfRange(f"k = {k} must be odd and >= 2J+1 = {2 * J + 1}")
-    if not 1 <= ell <= r:
-        raise ParamOutOfRange(f"ell = {ell} outside 1..{r}")
+        raise ParamOutOfRange(f"k = {k} violates k odd and k >= 2J+1 = {2 * J + 1}")
     params: dict[str, object] = {"r": r, "k": k, "ell": ell, "J": J, "N": n}
 
     def hp(kk: int, ll: int | None) -> TruncatedSeries:
@@ -260,8 +247,9 @@ def verify_hp_expansion(r: int, i: int, J: int, d: int, n: int) -> CheckReport:
 
     HP(2J+1, i) = sum_{j=1}^{r} N[j, d] * HP(2d+1, r-j+1) through degree n.
     """
+    check_params(r=r, i=i, J=J, n=n)
     if d < J + 1:
-        raise ParamOutOfRange(f"d = {d} below the initial depth {J + 1}")
+        raise ParamOutOfRange(f"d = {d} violates d >= J+1 = {J + 1}")
     params: dict[str, object] = {"r": r, "i": i, "J": J, "d": d, "N": n}
     table = coeff_table("N", r, J, i, d, n)
     lhs = hp_notation(2 * J + 1, i, r, n)
@@ -276,10 +264,9 @@ def verify_c_expansion(r: int, ell: int, J: int, d: int, n: int) -> CheckReport:
 
     C[(r-1)J + ell] = sum_{j=1}^{r} M[j, d] * C[(r-1)d + j] through degree n.
     """
+    check_params(r=r, ell=ell, J=J, n=n)
     if d < J + 1:
-        raise ParamOutOfRange(f"d = {d} below the initial depth {J + 1}")
-    if not 1 <= ell <= r:
-        raise ParamOutOfRange(f"ell = {ell} outside 1..{r}")
+        raise ParamOutOfRange(f"d = {d} violates d >= J+1 = {J + 1}")
     params: dict[str, object] = {"r": r, "ell": ell, "J": J, "d": d, "N": n}
     table = coeff_table("M", r, J, ell, d, n)
     lhs = c_series(r, (r - 1) * J + ell, n)
@@ -291,6 +278,7 @@ def verify_c_expansion(r: int, ell: int, J: int, d: int, n: int) -> CheckReport:
 
 def verify_mn_tables(r: int, i: int, J: int, d_max: int, n: int) -> CheckReport:
     """Check entrywise equality of the M and N tables under ell = r - i + 1."""
+    check_params(r=r, i=i, J=J, n=n)
     ell = r - i + 1
     params: dict[str, object] = {"r": r, "i": i, "ell": ell, "J": J, "d_max": d_max, "N": n}
     m_table = coeff_table("M", r, J, ell, d_max, n)
@@ -310,6 +298,7 @@ def stop_depth(n: int, J: int = 0) -> int:
     depth-d expansion sit one level deeper, and at depth d_stop + 1 every
     entry with j >= 2 has valuation at least 2(d_stop + 1) > n.
     """
+    check_params(n=n, J=J)
     return max(n // 2, J)
 
 
@@ -324,8 +313,8 @@ def verify_limits(r: int, i: int, J: int, n: int) -> CheckReport:
     stabilized j = 1 entries at depth D reproduce the product side at index
     (r-1)J + ell and the quotient side anchored at i.
     """
-    params_check = IdentityParams(r, i, J, n)
-    ell = params_check.ell
+    check_params(r=r, i=i, J=J, n=n)
+    ell = r - i + 1
     d_stop = stop_depth(n, J)
     depth = d_stop + 1
     params: dict[str, object] = {
@@ -358,8 +347,8 @@ def verify_main(r: int, i: int, J: int, n: int) -> CheckReport:
     are additionally compared against the level-zero gap counts degree by
     degree.
     """
-    params_check = IdentityParams(r, i, J, n)
-    ell = params_check.ell
+    check_params(r=r, i=i, J=J, n=n)
+    ell = r - i + 1
     params: dict[str, object] = {"r": r, "i": i, "ell": ell, "J": J, "N": n}
     product_side = c_series(r, (r - 1) * J + ell, n)
     quotient_side = hp_notation(2 * J + 1, i, r, n)
@@ -370,7 +359,8 @@ def verify_main(r: int, i: int, J: int, n: int) -> CheckReport:
         ("product_vs_quotient", product_side, quotient_side),
     ]
     if J == 0:
-        congruence = TruncatedSeries(tuple(count_C(params_check, m) for m in range(n + 1)))
+        params_c = IdentityParams(r, i)
+        congruence = TruncatedSeries(tuple(count_C(params_c, m) for m in range(n + 1)))
         level_zero = TruncatedSeries(tuple(count_D(r, i, m) for m in range(n + 1)))
         clauses.append(("congruence_vs_gap_counts", congruence, level_zero))
     return _run_clauses("main", params, n, clauses)

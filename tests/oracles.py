@@ -62,6 +62,14 @@ def gap_conditions_descending(parts: tuple[int, ...], r: int) -> bool:
     return True
 
 
+def admissible_E(parts: tuple[int, ...], r: int, i: int, J: int) -> bool:
+    """Generalized gap-side admissibility of non-increasing parts, read literally."""
+    if parts and parts[-1] <= 2 * J:
+        return False
+    small = sum(1 for p in parts if p <= 2 * J + 2)
+    return gap_conditions_descending(parts, r) and small <= i - 1
+
+
 def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
     """Generalized gap-side count of n, by pruned exhaustive enumeration.
 

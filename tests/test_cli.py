@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gga_verify
 from gga_verify import cli, recursion
 from gga_verify.errors import NonDivisible
 from gga_verify.qseries import TruncatedSeries
@@ -136,12 +138,6 @@ def test_determinism_byte_identical() -> None:
     assert first == second
 
 
-def test_ordered_flag_accepted() -> None:
-    code, out = run_cli("verify", "--ordered", "--r", "2", "--i", "1", "--J", "0", "--N", "8")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
-
-
 def test_out_flag_writes_file(tmp_path) -> None:
     target = tmp_path / "reports.jsonl"
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
@@ -207,6 +203,27 @@ def test_module_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"trunc":6,"coeffs":["1","1","1","1","2","2","2"]}\n'
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_exit_four_when_the_reader_closes_the_pipe(unbuffered: bool) -> None:
+    # `verify ... 2>&1 | head -1`: the reader leaves after one line while the
+    # rest of the stream is still being computed, so stdout and stderr break.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(gga_verify.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gga_verify.cli", "verify", "--r", "2..4", "--N", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_INTERNAL
+    assert json.loads(first)["pass"] is True
 
 
 def test_exit_four_on_internal_error(

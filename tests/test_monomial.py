@@ -11,7 +11,6 @@ from gga_verify.monomial import (
     MonomialIdeal,
     add_var,
     colon_var,
-    is_standard,
     minimalize,
     standard_count,
     standard_monomials,
@@ -127,14 +126,6 @@ def test_add_var_examples() -> None:
     assert set(two.gens) == {m(x1=1), m(x2=1, x3=1)}
     unit = MonomialIdeal.build([UNIT], 1, 10)
     assert add_var(unit, 2).is_unit
-
-
-def test_is_standard() -> None:
-    ideal = MonomialIdeal.build([m(x1=2)], 1, 10)
-    assert is_standard(ideal, m(x1=1))
-    assert not is_standard(ideal, m(x1=3))
-    zero = MonomialIdeal.build([], 1, 10)
-    assert is_standard(zero, m(x2=4))
 
 
 def test_standard_count_examples() -> None:
