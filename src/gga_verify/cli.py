@@ -121,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    check_params(r=args.r, N=args.N)  # name the flag, before any computation
     if args.kind == "c":
         if args.index is None:
             raise ValueError("series c requires --index")
@@ -160,6 +161,7 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    check_params(r=args.r, N=args.N)  # name the flag, before any computation
     if args.family == "LriJ":
         if args.i is None:
             raise ValueError("family LriJ requires --i")

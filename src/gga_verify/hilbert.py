@@ -3,10 +3,17 @@
 Two independent engines compute the Hilbert-Poincare series of a quotient by
 a monomial ideal, truncated at degree N:
 
-* hp_brute counts standard monomials degree by degree (the oracle);
-* hp_split recurses on the splitting identity
+* hp_brute counts standard monomials (the oracle).  They form an order
+  ideal, so one walk grows them part by part and never extends a monomial
+  the ideal contains; the p(n) monomials of each weight are never listed.
+* hp_split runs the splitting identity
       HP(A/I) = q^w * HP(A/(I : f)) + HP(A/(I, f))
-  for a pivot variable f = x_k of weight w = k.
+  for a pivot variable f = x_k of weight w = k.  The colon and the sum
+  change at most the generators that contain f, so each step keeps the
+  generators canonical without re-minimalizing them.
+
+Both engines keep their own stack, so neither is bounded by the
+interpreter's recursion limit.
 
 The ideal families encode the gap conditions of the partition identities:
 squares of odd variables, odd-even neighbor products, and two staircase
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import check_params
-from .monomial import Monomial, MonomialIdeal, add_var, colon_var, standard_count
+from .monomial import Monomial, MonomialIdeal, _standard_counts, add_var, colon_var
 from .qseries import TruncatedSeries, product_geometric_inverses
 
 
@@ -115,11 +122,12 @@ def build_L_k_ell(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
 
 
 def hp_brute(quotient: GradedQuotient) -> TruncatedSeries:
-    """Hilbert-Poincare series by direct standard-monomial counting."""
-    ideal = quotient.ideal
-    return TruncatedSeries(
-        tuple(standard_count(ideal, j) for j in range(quotient.trunc + 1))
-    )
+    """Hilbert-Poincare series by direct standard-monomial counting.
+
+    One walk over the standard monomials of weight <= N counts every degree;
+    see monomial._standard_counts for the order-ideal argument.
+    """
+    return TruncatedSeries(tuple(_standard_counts(quotient.ideal, quotient.trunc)))
 
 
 def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
@@ -149,38 +157,54 @@ def hp_split(quotient: GradedQuotient) -> TruncatedSeries:
     exponent in at least one of them, and the add branch absorbs every
     generator that contains the pivot.  The shift budget is bounded by the
     truncation, so colon chains are pruned once their accumulated weight
-    exceeds the degrees still being certified.  Results are memoized on the
-    canonical generator set plus the remaining budget.
+    exceeds the degrees still being certified: the colon ideal keeps the
+    generators within the smaller budget, which, as a subset of a minimal
+    set, is still minimal.  Results are memoized on the canonical generator
+    set plus the remaining budget.  The recursion runs on an explicit stack
+    of tasks, so a colon chain of any length fits.
     """
     min_var = quotient.min_var
     memo: dict[tuple[tuple[Monomial, ...], int], tuple[int, ...]] = {}
-
-    def solve(ideal: MonomialIdeal, budget: int) -> tuple[int, ...]:
+    n = quotient.trunc
+    # A task (ideal, budget, None) solves a sub-problem; (ideal, budget,
+    # pivot) combines its two solved branches.  `solved` holds the series of
+    # finished sub-problems, the most recent last.
+    todo = [(MonomialIdeal.build(quotient.ideal.gens, min_var, n), n, None)]
+    solved: list[tuple[int, ...]] = []
+    while todo:
+        ideal, budget, pivot = todo.pop()
+        key = (ideal.gens, budget)
+        if pivot is not None:
+            low = solved.pop()
+            out = list(solved.pop())
+            for j, c in enumerate(low):
+                out[j + pivot] += c
+            memo[key] = result = tuple(out)
+            solved.append(result)
+            continue
         if ideal.is_unit:
-            return (0,) * (budget + 1)
+            solved.append((0,) * (budget + 1))
+            continue
         pivot = _pivot_var(ideal.gens)
         if pivot is None:
             killed = {g.min_variable() for g in ideal.gens}
             parts = [v for v in range(min_var, budget + 1) if v not in killed]
-            return product_geometric_inverses(parts, budget).coeffs
-        key = (ideal.gens, budget)
+            solved.append(product_geometric_inverses(parts, budget).coeffs)
+            continue
         cached = memo.get(key)
         if cached is not None:
-            return cached
-        out = list(solve(add_var(ideal, pivot), budget))
+            solved.append(cached)
+            continue
+        # Last in, first out: the add branch runs first, then the colon.  The
+        # pivot is the smallest variable of a generator of degree >= 2 and
+        # weight <= budget, so the colon's budget is at least the pivot.
+        todo.append((ideal, budget, pivot))
         sub_budget = budget - pivot
-        if sub_budget >= 0:
-            col = colon_var(ideal, pivot)
-            low = solve(MonomialIdeal.build(col.gens, min_var, sub_budget), sub_budget)
-            for j, c in enumerate(low):
-                out[j + pivot] += c
-        result = tuple(out)
-        memo[key] = result
-        return result
-
-    n = quotient.trunc
-    ideal = MonomialIdeal.build(quotient.ideal.gens, min_var, n)
-    return TruncatedSeries(solve(ideal, n))
+        col = colon_var(ideal, pivot)
+        low_gens = tuple(g for g in col.gens if g.weight <= sub_budget)
+        todo.append((MonomialIdeal(low_gens, min_var, sub_budget), sub_budget, None))
+        todo.append((add_var(ideal, pivot), budget, None))
+    return TruncatedSeries(solved.pop())
 
 
 @lru_cache(maxsize=None)

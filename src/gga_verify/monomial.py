@@ -11,10 +11,9 @@ that is still counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .errors import DegreeBeyondTruncation
-from .partitions import _ascending_partitions
+from .errors import DegreeBeyondTruncation, check_params
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ class MonomialIdeal:
     def build(cls, gens: Iterable[Monomial], min_var: int, trunc: int) -> MonomialIdeal:
         if min_var < 1:
             raise ValueError(f"min_var {min_var} must be >= 1")
-        if trunc < 0:
-            raise ValueError(f"negative truncation {trunc}")
+        check_params(n=trunc)
         kept = []
         for g in gens:
             mv = g.min_variable()
@@ -153,31 +151,83 @@ class MonomialIdeal:
 
 
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The colon ideal (I : x_var).
+    """The colon ideal (I : x_var), kept canonical without re-minimalizing.
 
     Each generator divisible by x_var loses one power of it; the rest stay.
+    The changed generators stay pairwise incomparable, since g/x_var | h/x_var
+    would give g | h.  No unchanged generator divides a changed one, since
+    u | g/x_var would give u | g.  So minimality can fail only where a
+    changed generator divides an unchanged one, and those unchanged ones go.
     """
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    new = [g.div_var(var) if g.exponent(var) else g for g in ideal.gens]
-    return MonomialIdeal.build(new, ideal.min_var, ideal.trunc)
+    changed = [g.div_var(var) for g in ideal.gens if g.exponent(var)]
+    if not changed:
+        return ideal
+    kept = [
+        g for g in ideal.gens
+        if not g.exponent(var) and not any(c.divides(g) for c in changed)
+    ]
+    gens = tuple(sorted(changed + kept, key=Monomial.sort_key))
+    return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
 
 
 def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The enlarged ideal I + (x_var)."""
+    """The enlarged ideal I + (x_var), kept canonical without re-minimalizing.
+
+    When x_var lies outside I, no generator divides x_var, and x_var divides
+    exactly the generators that contain it: those go and x_var comes in.
+    When x_var lies in I, or weighs more than the truncation, I is unchanged.
+    """
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    return MonomialIdeal.build(
-        ideal.gens + (Monomial.make({var: 1}),), ideal.min_var, ideal.trunc
-    )
+    x = Monomial(((var, 1),))
+    if var > ideal.trunc or ideal.contains(x):
+        return ideal
+    kept = [g for g in ideal.gens if not g.exponent(var)]
+    gens = tuple(sorted(kept + [x], key=Monomial.sort_key))
+    return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
 
 
-def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
-    """All standard monomials of the given weight in the ambient ring."""
-    for parts in _ascending_partitions(weight, ideal.min_var):
-        m = Monomial.from_parts(parts)
-        if not ideal.contains(m):
-            yield m
+def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
+    """Number of standard monomials of each weight 0..n, in one walk.
+
+    Standard monomials form an order ideal: every divisor of one is one
+    (Bayer and Stillman, "Computation of Hilbert functions", J. Symbolic
+    Comput. 14, 1992).  The walk grows monomials by parts in non-decreasing
+    order and never extends a monomial the ideal contains, so it visits the
+    standard monomials and their immediate non-standard extensions only.
+    Appending x_v to a standard m, whose variables are all <= v, can only
+    meet a generator whose largest variable is v: one without x_v would
+    already divide m.  The walk keeps its own stack, so its depth (the
+    number of parts) is not bounded by the interpreter's recursion limit.
+    """
+    counts = [0] * (n + 1)
+    if ideal.is_unit:
+        return counts
+    ending_at: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    for g in ideal.gens:
+        ending_at.setdefault(g.exps[-1][0], []).append(g.exps)
+    exps = [0] * (n + 1)
+    counts[0] = 1
+    # One frame per part of the current monomial: (next part to try, weight
+    # so far, the part that frame added).  The root frame added none; it
+    # names 0, a slot no generator reads.
+    stack = [(ideal.min_var, 0, 0)]
+    while stack:
+        v, w, last = stack[-1]
+        if v > n - w:
+            stack.pop()
+            exps[last] -= 1
+            continue
+        stack[-1] = (v + 1, w, last)
+        exps[v] += 1
+        if any(all(exps[u] >= e for u, e in g) for g in ending_at.get(v, ())):
+            exps[v] -= 1
+        else:
+            counts[w + v] += 1
+            stack.append((v, w + v, v))
+    return counts
 
 
 def standard_count(ideal: MonomialIdeal, weight: int) -> int:
@@ -192,4 +242,4 @@ def standard_count(ideal: MonomialIdeal, weight: int) -> int:
         raise DegreeBeyondTruncation(
             f"degree {weight} beyond ideal truncation {ideal.trunc}"
         )
-    return sum(1 for _ in standard_monomials(ideal, weight))
+    return _standard_counts(ideal, weight)[weight]

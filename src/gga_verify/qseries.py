@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidPart, NonDivisible, TruncationTooShort
+from .errors import InvalidPart, NonDivisible, TruncationTooShort, check_params
 
 
 class Mismatch(NamedTuple):
@@ -100,8 +100,7 @@ class TruncatedSeries:
 
     def truncated(self, n: int) -> TruncatedSeries:
         """Restrict the certified range to 0..n."""
-        if n < 0:
-            raise ValueError(f"negative truncation {n}")
+        check_params(n=n)
         if n > self.trunc:
             raise TruncationTooShort(f"series certified only through {self.trunc}, not {n}")
         return TruncatedSeries(self.coeffs[: n + 1])
@@ -129,15 +128,13 @@ class TruncatedSeries:
 
 def series_one(n: int) -> TruncatedSeries:
     """The multiplicative identity 1, certified through degree n."""
-    if n < 0:
-        raise ValueError(f"negative truncation {n}")
+    check_params(n=n)
     return TruncatedSeries((1,) + (0,) * n)
 
 
 def series_zero(n: int) -> TruncatedSeries:
     """The zero series, certified through degree n."""
-    if n < 0:
-        raise ValueError(f"negative truncation {n}")
+    check_params(n=n)
     return TruncatedSeries((0,) * (n + 1))
 
 
@@ -157,8 +154,7 @@ def product_geometric_inverses(parts: Iterable[int], n: int) -> TruncatedSeries:
     the given set.  Division-free update: absorbing one factor 1/(1-q^m)
     sends c_j to c_j + c_{j-m} for j = m..n.
     """
-    if n < 0:
-        raise ValueError(f"negative truncation {n}")
+    check_params(n=n)
     out = [0] * (n + 1)
     out[0] = 1
     for m in parts:
@@ -178,8 +174,7 @@ def triple_product_terms(a: int, modulus: int, n: int) -> list[tuple[int, int]]:
     """
     if not 0 < a < modulus:
         raise ValueError(f"need 0 < a < M, got a = {a}, M = {modulus}")
-    if n < 0:
-        raise ValueError(f"negative truncation {n}")
+    check_params(n=n)
     terms: dict[int, int] = {}
     for direction, start in ((1, 0), (-1, 1)):
         m = start

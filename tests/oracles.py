@@ -3,15 +3,18 @@
 Everything here is deliberately written against different algorithms than the
 package: recursive enumeration instead of the package's iterative generator,
 a pruned depth-first walk over whole partitions instead of the package's
-forward dynamic programme for the gap side, the classical pentagonal-number
-recurrence instead of product expansion, and literal restatements of
-generator families.  Agreement between these and the package is evidence,
+forward dynamic programme for the gap side, a filter over every partition of
+each weight instead of the package's walk over the standard monomials only,
+the classical pentagonal-number recurrence instead of product expansion, and
+literal restatements of generator families.  Agreement between these and the package is evidence,
 not circularity.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
+
+from gga_verify.monomial import Monomial, MonomialIdeal
 
 
 def ascending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
@@ -108,6 +111,14 @@ def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
         return total
 
     return count(n, i - 1)
+
+
+def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
+    """All standard monomials of the given weight: every partition, filtered."""
+    for parts in ascending_partitions(weight, ideal.min_var):
+        m = Monomial.from_parts(parts)
+        if not ideal.contains(m):
+            yield m
 
 
 def restricted_partition_count(n: int, allowed: Sequence[int]) -> int:

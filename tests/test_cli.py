@@ -96,6 +96,22 @@ def test_hilbert_families() -> None:
     assert json.loads(out)["engines_agree"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--family", "LriJ", "--r", "2", "--i", "1"],
+        ["series", "c", "--r", "2", "--index", "1"],
+        ["series", "e", "--r", "2", "--i", "1"],
+    ],
+    ids=["hilbert", "series-c", "series-e"],
+)
+def test_negative_N_is_named_by_its_flag(argv: list[str], capsys: pytest.CaptureFixture[str]) -> None:
+    code, out = run_cli(*argv, "--N", "-1")
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: N = -1 violates N >= 0\n"
+
+
 def test_verify_matrix_streams_reports() -> None:
     code, out = run_cli("verify", "--r", "2..3", "--i", "all", "--J", "0..1", "--N", "12")
     assert code == 0

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import (
@@ -199,6 +202,39 @@ def test_engine_equivalence_on_random_ideals() -> None:
         quotient = GradedQuotient(ideal)
         ok, mismatch = eq_up_to(hp_brute(quotient), hp_split(quotient), 25)
         assert ok, (str(ideal), mismatch)
+
+
+@st.composite
+def quotients(draw) -> GradedQuotient:
+    """A quotient by non-unit generators on six variables from min_var up."""
+    min_var = draw(st.integers(1, 3))
+    exps = st.dictionaries(st.integers(min_var, min_var + 5), st.integers(1, 3), min_size=1, max_size=3)
+    gens = [Monomial.make(e) for e in draw(st.lists(exps, min_size=1, max_size=8))]
+    return GradedQuotient(MonomialIdeal.build(gens, min_var, draw(st.integers(12, 24))))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(quotients())
+def test_engines_agree_on_generated_ideals(quotient: GradedQuotient) -> None:
+    assert hp_split(quotient) == hp_brute(quotient), str(quotient.ideal)
+
+
+def test_engines_run_deeper_than_the_recursion_limit() -> None:
+    # The colon chain of (x1^300, x2, ..., x300) is about 300 splits deep,
+    # and the walk reaches x1^300 in the quotient by (x2, ..., x300).
+    n = 300
+    killed = [Monomial.make({v: 1}) for v in range(2, n + 1)]
+    chain = GradedQuotient(MonomialIdeal.build([Monomial.make({1: n})] + killed, 1, n))
+    walk = GradedQuotient(MonomialIdeal.build(killed, 1, n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        split = hp_split(chain)
+        brute = hp_brute(walk)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert split.coeffs == (1,) * n + (0,)
+    assert brute.coeffs == (1,) * (n + 1)
 
 
 def test_engine_equivalence_on_family_ideals() -> None:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gga_verify.errors import DegreeBeyondTruncation
 from gga_verify.monomial import (
@@ -13,11 +15,10 @@ from gga_verify.monomial import (
     colon_var,
     minimalize,
     standard_count,
-    standard_monomials,
 )
 from gga_verify.partitions import enumerate_partitions
 
-from oracles import classical_partition_count
+from oracles import classical_partition_count, standard_monomials
 
 
 def m(**exps: int) -> Monomial:
@@ -125,7 +126,8 @@ def test_add_var_examples() -> None:
     two = add_var(MonomialIdeal.build([m(x2=1, x3=1)], 1, 10), 1)
     assert set(two.gens) == {m(x1=1), m(x2=1, x3=1)}
     unit = MonomialIdeal.build([UNIT], 1, 10)
-    assert add_var(unit, 2).is_unit
+    assert add_var(unit, 2) == unit
+    assert colon_var(unit, 2) == unit
 
 
 def test_standard_count_examples() -> None:
@@ -170,3 +172,36 @@ def test_graded_decomposition() -> None:
     total = sum(standard_count(ideal, j) for j in range(10))
     direct = sum(1 for j in range(10) for _ in standard_monomials(ideal, j))
     assert total == direct
+
+
+@st.composite
+def ideals(draw, max_trunc: int, span: int) -> MonomialIdeal:
+    """A canonical ideal on the span variables from a drawn min_var up.
+
+    Every drawn generator is a non-unit, and the truncation is at least half
+    of max_trunc, so few draws collapse to the zero or the unit ideal.
+    """
+    min_var = draw(st.integers(1, 2))
+    variables = st.integers(min_var, min_var + span - 1)
+    exps = st.dictionaries(variables, st.integers(1, 3), min_size=1, max_size=3)
+    gens = [Monomial.make(e) for e in draw(st.lists(exps, min_size=1, max_size=6))]
+    return MonomialIdeal.build(gens, min_var, draw(st.integers(max_trunc // 2, max_trunc)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ideals(max_trunc=14, span=6))
+def test_walk_counts_match_the_filter_oracle(ideal: MonomialIdeal) -> None:
+    for weight in range(ideal.trunc + 1):
+        expected = sum(1 for _ in standard_monomials(ideal, weight))
+        assert standard_count(ideal, weight) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ideals(max_trunc=20, span=4))
+def test_colon_and_add_equal_a_fresh_build(ideal: MonomialIdeal) -> None:
+    # every variable up to one that weighs more than the truncation
+    for var in range(ideal.min_var, ideal.trunc + 2):
+        divided = [g.div_var(var) if g.exponent(var) else g for g in ideal.gens]
+        assert colon_var(ideal, var) == MonomialIdeal.build(divided, ideal.min_var, ideal.trunc)
+        enlarged = list(ideal.gens) + [Monomial.make({var: 1})]
+        assert add_var(ideal, var) == MonomialIdeal.build(enlarged, ideal.min_var, ideal.trunc)

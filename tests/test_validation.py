@@ -1,4 +1,5 @@
-"""Every public entry point rejects each out-of-range parameter by name."""
+"""Every public entry point rejects each out-of-range parameter by name, and so
+does every truncation below them."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import pytest
 
 from gga_verify.errors import IndexOutOfRange, ParamOutOfRange
 from gga_verify.hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_notation
+from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import (
     IdentityParams,
     allowed_parts_C,
@@ -14,6 +16,12 @@ from gga_verify.partitions import (
     count_E,
     enumerate_partitions,
     series_E,
+)
+from gga_verify.qseries import (
+    product_geometric_inverses,
+    series_one,
+    series_zero,
+    triple_product_terms,
 )
 from gga_verify.recursion import (
     c_series,
@@ -88,3 +96,21 @@ def test_out_of_range_parameter_is_rejected_by_name(fn, name, value, kwargs) -> 
     with pytest.raises(expected) as info:
         fn(**{**kwargs, name: value})
     assert str(info.value).startswith(f"{name} = {value!r} ")
+
+
+# Truncations below the entry points: each call is valid at 0 and not at -1.
+TRUNCATIONS = {
+    "TruncatedSeries.truncated": lambda n: series_one(3).truncated(n),
+    "series_one": series_one,
+    "series_zero": series_zero,
+    "product_geometric_inverses": lambda n: product_geometric_inverses([1, 2], n),
+    "triple_product_terms": lambda n: triple_product_terms(1, 4, n),
+    "MonomialIdeal.build": lambda n: MonomialIdeal.build([], 1, n),
+}
+
+
+@pytest.mark.parametrize("make", TRUNCATIONS.values(), ids=TRUNCATIONS.keys())
+def test_negative_truncation_is_rejected_by_the_validator(make) -> None:
+    make(0)
+    with pytest.raises(ParamOutOfRange, match=r"^n = -1 violates n >= 0$"):
+        make(-1)
