@@ -6,6 +6,7 @@ arithmetic, and certifies their coefficientwise equality up to a chosen
 truncation degree.
 """
 
+from .context import RunContext
 from .errors import (
     DegreeBeyondTruncation,
     IndexOutOfRange,
@@ -33,12 +34,10 @@ from .monomial import (
 )
 from .partitions import (
     IdentityParams,
-    Partition,
     allowed_parts_C,
     count_C,
     count_D,
     count_E,
-    enumerate_partitions,
     series_E,
 )
 from .qseries import (
@@ -77,7 +76,7 @@ __all__ = [
     "MonomialIdeal",
     "NonDivisible",
     "ParamOutOfRange",
-    "Partition",
+    "RunContext",
     "TruncatedSeries",
     "TruncationTooShort",
     "add_var",
@@ -91,7 +90,6 @@ __all__ = [
     "count_C",
     "count_D",
     "count_E",
-    "enumerate_partitions",
     "eq_up_to",
     "hp_brute",
     "hp_notation",

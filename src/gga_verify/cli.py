@@ -20,6 +20,7 @@ import os
 import sys
 from typing import Callable, Iterator, TextIO
 
+from .context import RunContext
 from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort, check_params
 from .hilbert import GradedQuotient, build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
 from .partitions import IdentityParams, count_C, count_D, count_E, series_E
@@ -125,6 +126,8 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     if args.kind == "c":
         if args.index is None:
             raise ValueError("series c requires --index")
+        if args.J != 0:
+            raise ValueError(f"series c takes its level from --index: --J must be 0, not {args.J}")
         series = c_series(args.r, args.index, args.N)
     else:
         if args.i is None:
@@ -162,6 +165,8 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
+    if args.family != "LriJ" and args.J != 0:
+        raise ValueError(f"family {args.family} has no level: --J must be 0, not {args.J}")
     if args.family == "LriJ":
         if args.i is None:
             raise ValueError("family LriJ requires --i")
@@ -210,19 +215,20 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
         for i in i_values:
             for J in j_values:
                 check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
+    ctx = RunContext()  # one per run: every cell shares its product series and sweeps
     for r in r_values:
         i_values = list(range(1, r + 1)) if i_selector is None else i_selector
         for i in i_values:
             for J in j_values:
-                yield verify_main(r, i, J, n)
+                yield verify_main(r, i, J, n, ctx=ctx)
                 if args.lemmas:
                     ell = r - i + 1
                     yield verify_hp_step(r, 2 * J + 1, ell, J, n)
                     for d in (J + 1, J + 2):
                         yield verify_hp_expansion(r, i, J, d, n)
-                        yield verify_c_expansion(r, ell, J, d, n)
+                        yield verify_c_expansion(r, ell, J, d, n, ctx=ctx)
                     yield verify_mn_tables(r, i, J, J + 3, n)
-                    yield verify_limits(r, i, J, n)
+                    yield verify_limits(r, i, J, n, ctx=ctx)
 
 
 def _cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:

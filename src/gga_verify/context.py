@@ -1,0 +1,29 @@
+"""The caches that the cells of one verification run share.
+
+`cli._verify_reports` makes one `RunContext` per run and passes it to every
+verifier that reaches `c_series` or `count_D`.  A call without a context
+gets a fresh one, so no result depends on call history and no cache
+outlives the run that filled it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .qseries import TruncatedSeries
+
+
+@dataclass
+class RunContext:
+    """Results shared across cells, each dict keyed by all its value depends on.
+
+    products:   `c_series(r, index, n)`, keyed by (r, index, n);
+    level_zero: per weight n, the partitions of n counted by
+                (smallest r whose difference conditions they meet,
+                number of parts <= 2), one sweep answering every `count_D`.
+    """
+
+    products: dict[tuple[int, int, int], TruncatedSeries] = field(default_factory=dict)
+    level_zero: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)

@@ -43,7 +43,6 @@ _RULES: dict[str, tuple[int, bool]] = {
     "N": (0, False),
     "k": (1, False),
     "index": (1, False),
-    "min_part": (1, False),
 }
 
 

@@ -10,43 +10,26 @@ Three families of partitions of n are counted here:
   2J, and at most i-1 parts equal to 2J+1 or 2J+2.
 
 The generalized gap side is one forward dynamic-programming pass over the
-weight (`series_E`).  `count_D` filters every partition, listed smallest part
-first by one iterative generator, through a gap rule that reads parts in
-either order.  The enumeration oracles, the pruned gap-side walk included,
-live in `tests/oracles.py`.  The congruence side is a plain product
+weight (`series_E`).  `count_D` reads the difference conditions literally on
+every partition of n, listed smallest part first by one iterative generator.
+One sweep per weight records, for each partition, the smallest r whose
+conditions it meets and its number of parts <= 2; that histogram answers
+every (r, i) cell, and a `RunContext` keeps it for the rest of the run.  The
+enumeration oracles, the per-cell filter and the pruned gap-side walk
+included, live in `tests/oracles.py`.  The congruence side is a plain product
 expansion.  The sides run on unrelated code paths on purpose, so that
 agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .context import RunContext
 from .errors import IndexOutOfRange, check_params
 from .qseries import TruncatedSeries, product_geometric_inverses
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Non-increasing sequence of positive parts; the empty tuple partitions 0."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for p in self.parts:
-            if p <= 0:
-                raise ValueError(f"nonpositive part {p}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts not non-increasing: {self.parts}")
-            prev = p
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
 
 
 @dataclass(frozen=True)
@@ -102,20 +85,6 @@ def _ascending_partitions(n: int, min_part: int) -> Iterator[list[int]]:
         yield a[: k + 1]
 
 
-def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
-    """Yield every partition of n with all parts >= min_part exactly once.
-
-    Partitions appear in lexicographically decreasing order of their part
-    sequences, e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4.  The
-    hot counters use `_ascending_partitions` directly; this sorted, validated
-    stream is for callers that want `Partition` objects in a fixed order.
-    """
-    check_params(n=n, min_part=min_part)
-    stream = [tuple(reversed(a)) for a in _ascending_partitions(n, min_part)]
-    stream.sort(reverse=True)
-    return map(Partition, stream)
-
-
 def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
     """Part sizes <= n admissible for the congruence-side product of index 1..r.
 
@@ -138,40 +107,65 @@ def count_C(params: IdentityParams, n: int) -> int:
     return product_geometric_inverses(parts, n)[n]
 
 
-def _gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
-    """The difference conditions, for parts sorted in either order.
+def _least_gap_r(parts: Sequence[int]) -> int:
+    """Smallest r >= 2 whose difference conditions the ascending parts meet, else 0.
 
-    No odd value is repeated, and of two entries r-1 positions apart the
-    larger exceeds the smaller by >= 2 if it is odd and >= 3 if it is even.
+    The conditions: no odd value is repeated, and of two parts r-1 positions
+    apart the larger exceeds the smaller by >= 2 if it is odd and >= 3 if it
+    is even.  A repeated odd part fails at every r.  For the rest, the pair
+    (parts[k], parts[j]) with k < j fails exactly when parts[k] >= floor, where
+    floor is parts[j] - 1 for an odd and parts[j] - 2 for an even parts[j].
+    With lo the first index at or above that floor, the failing pairs ending
+    at j are those at distance 1 .. j - lo, so the conditions at r hold
+    exactly when r - 1 > j - lo for every j.  The floor never decreases along
+    the parts, so lo only moves forward and one pass finds every lo.
     """
     prev = 0
-    for p in parts:
-        if p == prev and p % 2 == 1:
-            return False
-        prev = p
-    for a, b in zip(parts, parts[r - 1 :]):
-        if a > b:
-            a, b = b, a
-        if b - a < (2 if b % 2 == 1 else 3):
-            return False
-    return True
+    for v in parts:
+        if v == prev and v & 1:
+            return 0
+        prev = v
+    lo = widest = 0
+    for j, v in enumerate(parts):
+        floor = v - 2 + (v & 1)
+        while parts[lo] < floor:
+            lo += 1
+        if j - lo > widest:
+            widest = j - lo
+    return widest + 2
 
 
-def _admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
-    if not _gap_conditions_ok(parts, r):
-        return False
-    return sum(1 for p in parts if p <= 2) <= i - 1
+def _level_zero_histogram(n: int) -> dict[tuple[int, int], int]:
+    """Partitions of n meeting the conditions at some r, by (least r, parts <= 2)."""
+    histogram: dict[tuple[int, int], int] = {}
+    for parts in _ascending_partitions(n, 1):
+        if len(parts) > 1 and parts[1] == 1:
+            continue  # a repeated 1, as most partitions have, fails at every r
+        least = _least_gap_r(parts)
+        if least:
+            key = (least, bisect_right(parts, 2))
+            histogram[key] = histogram.get(key, 0) + 1
+    return histogram
 
 
-def count_D(r: int, i: int, n: int) -> int:
-    """Gap-side count at level zero, by filtered exhaustive enumeration.
+def count_D(r: int, i: int, n: int, *, ctx: RunContext | None = None) -> int:
+    """Gap-side count at level zero, by the difference conditions on every partition.
 
-    Deliberately the dumb path: generate every partition of n and filter.
-    This is the oracle that the gap-side DP and the algebra engines are
-    measured against.
+    Deliberately the dumb path: every partition of n is read, with no
+    pruning.  It is the oracle that the gap-side DP and the algebra engines
+    are measured against.  The conditions only get easier as r grows, so a
+    partition is counted at (r, i) when its least r is at most r and it has
+    at most i-1 parts <= 2; the sweep of n is shared through `ctx`.
     """
     check_params(r=r, i=i, n=n)
-    return sum(1 for a in _ascending_partitions(n, 1) if _admissible_D(a, r, i))
+    level_zero = (RunContext() if ctx is None else ctx).level_zero
+    if n not in level_zero:
+        level_zero[n] = _level_zero_histogram(n)
+    return sum(
+        count
+        for (least, small), count in level_zero[n].items()
+        if least <= r and small < i
+    )
 
 
 def count_E(r: int, i: int, J: int, n: int) -> int:

@@ -19,6 +19,12 @@ agree entrywise when the anchors are related by ell = r - i + 1, and their
 j = 1 entries stabilize q-adically to the two sides of the main identity.
 Every verifier returns a structured report: a failing identity at desk scale
 means a transcription bug, and diagnosis needs the witness coefficient.
+
+The cells of one run share work through a `RunContext`: `c_series` keeps
+each product-side series under (r, index, n), so the expansion terms and the
+limit tail that several cells name are built once, and `count_D` keeps one
+level-zero histogram per weight.  The verifiers that reach them take the
+context as `ctx`; without one each call starts from an empty context.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .context import RunContext
 from .errors import ParamOutOfRange, check_params
 from .hilbert import hp_notation
 from .partitions import IdentityParams, count_C, count_D, series_E
@@ -76,15 +83,24 @@ def _congruence_bases(r: int, indices: Iterable[int], n: int) -> list[TruncatedS
     return [mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, n)) for j in indices]
 
 
-def c_series(r: int, index: int, n: int) -> TruncatedSeries:
+def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> TruncatedSeries:
     """Product-side series of any positive index, certified through degree n.
 
     Indices 1..r are the congruence products, built from their sparse
     factorisation (see _congruence_bases).  Larger indices run the level
     cascade bottom-up on a padded working truncation so that the certified
-    range still covers n after all exact divisions.
+    range still covers n after all exact divisions.  The result is kept in
+    `ctx` under (r, index, n).
     """
     check_params(r=r, index=index, n=n)
+    products = (RunContext() if ctx is None else ctx).products
+    key = (r, index, n)
+    if key not in products:
+        products[key] = _product_series(r, index, n)
+    return products[key]
+
+
+def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
     if index <= r:
         return _congruence_bases(r, [index], n)[0]
 
@@ -259,7 +275,9 @@ def verify_hp_expansion(r: int, i: int, J: int, d: int, n: int) -> CheckReport:
     return _run_clauses("hp_expansion", params, n, [("expansion", lhs, rhs)])
 
 
-def verify_c_expansion(r: int, ell: int, J: int, d: int, n: int) -> CheckReport:
+def verify_c_expansion(
+    r: int, ell: int, J: int, d: int, n: int, *, ctx: RunContext | None = None
+) -> CheckReport:
     """Check the depth-d expansion of the product side over higher indices.
 
     C[(r-1)J + ell] = sum_{j=1}^{r} M[j, d] * C[(r-1)d + j] through degree n.
@@ -269,10 +287,10 @@ def verify_c_expansion(r: int, ell: int, J: int, d: int, n: int) -> CheckReport:
         raise ParamOutOfRange(f"d = {d} violates d >= J+1 = {J + 1}")
     params: dict[str, object] = {"r": r, "ell": ell, "J": J, "d": d, "N": n}
     table = coeff_table("M", r, J, ell, d, n)
-    lhs = c_series(r, (r - 1) * J + ell, n)
+    lhs = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
     rhs = series_zero(n)
     for j in range(1, r + 1):
-        rhs = rhs + table.entry(j, d) * c_series(r, (r - 1) * d + j, n)
+        rhs = rhs + table.entry(j, d) * c_series(r, (r - 1) * d + j, n, ctx=ctx)
     return _run_clauses("c_expansion", params, n, [("expansion", lhs, rhs)])
 
 
@@ -302,7 +320,7 @@ def stop_depth(n: int, J: int = 0) -> int:
     return max(n // 2, J)
 
 
-def verify_limits(r: int, i: int, J: int, n: int) -> CheckReport:
+def verify_limits(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None) -> CheckReport:
     """Finite shadow of the q-adic limit argument behind the main identity.
 
     With d_stop the smallest d such that 2(d+1) > n and D = d_stop + 1 the
@@ -330,17 +348,17 @@ def verify_limits(r: int, i: int, J: int, n: int) -> CheckReport:
         clauses.append((f"m_entry_vanishes[j={m}]", m_table.entry(m, depth), zero))
         clauses.append((f"n_entry_vanishes[j={m}]", n_table.entry(m, depth), zero))
     clauses.append(("hp_tail_is_one", hp_notation(2 * d_stop + 3, None, r, n), one))
-    clauses.append(("product_tail_is_one", c_series(r, (r - 1) * (d_stop + 1) + 1, n), one))
-    clauses.append(
-        ("m_stabilizes_to_product", m_table.entry(1, depth), c_series(r, (r - 1) * J + ell, n))
-    )
+    tail = c_series(r, (r - 1) * (d_stop + 1) + 1, n, ctx=ctx)
+    clauses.append(("product_tail_is_one", tail, one))
+    head = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
+    clauses.append(("m_stabilizes_to_product", m_table.entry(1, depth), head))
     clauses.append(
         ("n_stabilizes_to_quotient", n_table.entry(1, depth), hp_notation(2 * J + 1, i, r, n))
     )
     return _run_clauses("limits", params, n, clauses)
 
 
-def verify_main(r: int, i: int, J: int, n: int) -> CheckReport:
+def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None) -> CheckReport:
     """Three-way equality of product side, quotient side, and gap side.
 
     All three series agree through degree n; at J = 0 the congruence counts
@@ -350,7 +368,7 @@ def verify_main(r: int, i: int, J: int, n: int) -> CheckReport:
     check_params(r=r, i=i, J=J, n=n)
     ell = r - i + 1
     params: dict[str, object] = {"r": r, "i": i, "ell": ell, "J": J, "N": n}
-    product_side = c_series(r, (r - 1) * J + ell, n)
+    product_side = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
     quotient_side = hp_notation(2 * J + 1, i, r, n)
     gap_side = series_E(r, i, J, n)
     clauses = [
@@ -361,6 +379,6 @@ def verify_main(r: int, i: int, J: int, n: int) -> CheckReport:
     if J == 0:
         params_c = IdentityParams(r, i)
         congruence = TruncatedSeries(tuple(count_C(params_c, m) for m in range(n + 1)))
-        level_zero = TruncatedSeries(tuple(count_D(r, i, m) for m in range(n + 1)))
+        level_zero = TruncatedSeries(tuple(count_D(r, i, m, ctx=ctx) for m in range(n + 1)))
         clauses.append(("congruence_vs_gap_counts", congruence, level_zero))
     return _run_clauses("main", params, n, clauses)

@@ -2,19 +2,44 @@
 
 Everything here is deliberately written against different algorithms than the
 package: recursive enumeration instead of the package's iterative generator,
-a pruned depth-first walk over whole partitions instead of the package's
-forward dynamic programme for the gap side, a filter over every partition of
-each weight instead of the package's walk over the standard monomials only,
-the classical pentagonal-number recurrence instead of product expansion, and
-literal restatements of generator families.  Agreement between these and the package is evidence,
-not circularity.
+the difference conditions tested cell by cell instead of the package's one
+sweep for the least r of every partition, a pruned depth-first walk over
+whole partitions instead of the package's forward dynamic programme for the
+gap side, a filter over every partition of each weight instead of the
+package's walk over the standard monomials only, the classical
+pentagonal-number recurrence instead of product expansion, and literal
+restatements of generator families.  Agreement between these and the
+package is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from gga_verify.monomial import Monomial, MonomialIdeal
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Non-increasing sequence of positive parts; the empty tuple partitions 0."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        prev = None
+        for p in self.parts:
+            if p <= 0:
+                raise ValueError(f"nonpositive part {p}")
+            if prev is not None and p > prev:
+                raise ValueError(f"parts not non-increasing: {self.parts}")
+            prev = p
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.parts)
 
 
 def ascending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
@@ -50,6 +75,41 @@ def descending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]
             prefix.pop()
 
     yield from descend(n, n)
+
+
+def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
+    """Every partition of n with all parts >= min_part, as validated `Partition`s.
+
+    They come in lexicographically decreasing order of their part sequences,
+    e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4.
+    """
+    return map(Partition, descending_partitions(n, min_part))
+
+
+def gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
+    """The difference conditions, for parts sorted in either order.
+
+    No odd value is repeated, and of two entries r-1 positions apart the
+    larger exceeds the smaller by >= 2 if it is odd and >= 3 if it is even.
+    """
+    prev = 0
+    for p in parts:
+        if p == prev and p % 2 == 1:
+            return False
+        prev = p
+    for a, b in zip(parts, parts[r - 1 :]):
+        if a > b:
+            a, b = b, a
+        if b - a < (2 if b % 2 == 1 else 3):
+            return False
+    return True
+
+
+def admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
+    """Level-zero gap-side admissibility: the per-cell filter behind `count_D`."""
+    if not gap_conditions_ok(parts, r):
+        return False
+    return sum(1 for p in parts if p <= 2) <= i - 1
 
 
 def gap_conditions_descending(parts: tuple[int, ...], r: int) -> bool:

@@ -79,6 +79,27 @@ def test_count_level_zero_kinds_reject_nonzero_J(
     assert json.loads(out)["params"] == {"r": 2, "i": 1, "J": 0}
 
 
+LEVEL_FREE = {
+    "series-c": ["series", "c", "--r", "2", "--index", "1", "--N", "8"],
+    "hilbert-Lk": ["hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "12"],
+    "hilbert-Lkl": ["hilbert", "--family", "Lkl", "--k", "2", "--ell", "1", "--r", "3", "--N", "12"],
+}
+
+
+@pytest.mark.parametrize("argv", LEVEL_FREE.values(), ids=LEVEL_FREE.keys())
+def test_level_free_commands_reject_nonzero_J(
+    argv: list[str], capsys: pytest.CaptureFixture[str]
+) -> None:
+    default = run_cli(*argv)
+    assert default[0] == 0
+    code, out = run_cli(*argv, "--J", "5")
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--J must be 0, not 5" in err and err.count("\n") == 1
+    assert run_cli(*argv, "--J", "0") == default
+
+
 def test_hilbert_families() -> None:
     code, out = run_cli("hilbert", "--family", "LriJ", "--r", "2", "--i", "2", "--J", "0", "--N", "20")
     assert code == 0
@@ -183,7 +204,7 @@ def test_table_format() -> None:
 
 def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     failing = CheckReport("main", {"r": 2}, False, None, 8)
-    monkeypatch.setattr(cli, "verify_main", lambda *a: failing)
+    monkeypatch.setattr(cli, "verify_main", lambda *a, **kw: failing)
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8")
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -282,7 +303,7 @@ def test_out_flag_replaces_old_file_on_mismatch(monkeypatch: pytest.MonkeyPatch,
     target = tmp_path / "reports.jsonl"
     target.write_text("old content\n")
     failing = CheckReport("main", {"r": 2}, False, None, 8)
-    monkeypatch.setattr(cli, "verify_main", lambda *a: failing)
+    monkeypatch.setattr(cli, "verify_main", lambda *a, **kw: failing)
     code, _ = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
     assert code == 1
     assert json.loads(target.read_text())["pass"] is False

@@ -16,9 +16,7 @@ from gga_verify.monomial import (
     minimalize,
     standard_count,
 )
-from gga_verify.partitions import enumerate_partitions
-
-from oracles import classical_partition_count, standard_monomials
+from oracles import classical_partition_count, enumerate_partitions, standard_monomials
 
 
 def m(**exps: int) -> Monomial:

@@ -7,25 +7,26 @@ from hypothesis import strategies as st
 from gga_verify.errors import IndexOutOfRange, ParamOutOfRange
 from gga_verify.partitions import (
     IdentityParams,
-    Partition,
-    _admissible_D,
     _ascending_partitions,
-    _gap_conditions_ok,
+    _least_gap_r,
     allowed_parts_C,
     count_C,
     count_D,
     count_E,
-    enumerate_partitions,
     series_E,
 )
 from gga_verify.recursion import c_series
 
 from oracles import (
+    Partition,
+    admissible_D,
     admissible_E,
     ascending_partitions,
     classical_partition_count,
     descending_partitions,
+    enumerate_partitions,
     gap_conditions_descending,
+    gap_conditions_ok,
     pruned_count_E,
     restricted_partition_count,
 )
@@ -114,7 +115,7 @@ def test_count_D_examples() -> None:
 
 
 def test_count_D_survivors_listed() -> None:
-    survivors = [p.parts for p in enumerate_partitions(5) if _admissible_D(p.parts, 2, 2)]
+    survivors = [p.parts for p in enumerate_partitions(5) if admissible_D(p.parts, 2, 2)]
     assert survivors == [(5,), (4, 1)]
 
 
@@ -184,7 +185,8 @@ def test_gap_conditions_vacuous_for_short_partitions() -> None:
                 not (a == b and a % 2 == 1) for a, b in zip(p.parts, p.parts[1:])
             )
             boundary_ok = sum(1 for x in p.parts if x <= 2) <= i - 1
-            assert _admissible_D(p.parts, r, i) == (no_odd_repeat and boundary_ok)
+            assert admissible_D(p.parts, r, i) == (no_odd_repeat and boundary_ok)
+            assert (0 < _least_gap_r(p.parts[::-1]) <= r) == no_odd_repeat
 
 
 def test_series_E_examples() -> None:
@@ -215,16 +217,51 @@ def test_count_D_matches_descending_filter_oracle() -> None:
     for r in range(2, 7):
         for i in range(1, r + 1):
             for n, stream in enumerate(streams):
-                brute = sum(_admissible_D(p, r, i) for p in stream)
+                brute = sum(admissible_D(p, r, i) for p in stream)
                 assert count_D(r, i, n) == brute, (r, i, n)
+
+
+def test_least_gap_r_examples() -> None:
+    assert _least_gap_r([]) == 2
+    assert _least_gap_r([1, 1]) == 0  # a repeated odd part fails at every r
+    assert _least_gap_r([2, 3, 3, 8]) == 0
+    assert _least_gap_r([1, 4]) == 2
+    assert _least_gap_r([1, 3]) == 2
+    assert _least_gap_r([2, 3]) == 3  # 3 - 2 < 2, and the pair is one apart
+    assert _least_gap_r([2, 2, 2]) == 4  # more than the number of parts
+    assert _least_gap_r([2, 4, 4, 6]) == 4
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    parts=st.lists(st.integers(1, 12), max_size=10)
+    | st.lists(st.sampled_from([2, 4, 6]), max_size=10)
+    | st.lists(st.integers(1, 5), min_size=2, max_size=6).map(lambda a: a + [a[0] | 1] * 2)
+)
+def test_least_gap_r_is_the_least_r_of_the_literal_rule(parts: list[int]) -> None:
+    # the draws include runs of one even value (least r above the number of
+    # parts) and a forced repeated odd part (never admissible)
+    parts = sorted(parts)
+    least = _least_gap_r(parts)
+    for r in range(2, len(parts) + 3):
+        assert gap_conditions_ok(parts, r) == (0 < least <= r), (parts, r)
+    assert least <= max(2, len(parts) + 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(2, 7), n=st.integers(0, 24))
+def test_count_D_equals_the_per_cell_filter(data: st.DataObject, r: int, n: int) -> None:
+    i = data.draw(st.integers(1, r), label="i")
+    brute = sum(admissible_D(p, r, i) for p in descending_partitions(n))
+    assert count_D(r, i, n) == brute
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(parts=st.lists(st.integers(1, 30), max_size=12), r=st.integers(2, 6))
 def test_gap_conditions_independent_of_order(parts: list[int], r: int) -> None:
     p = tuple(sorted(parts, reverse=True))
-    assert _gap_conditions_ok(p, r) == _gap_conditions_ok(p[::-1], r)
-    assert _gap_conditions_ok(p, r) == gap_conditions_descending(p, r)
+    assert gap_conditions_ok(p, r) == gap_conditions_ok(p[::-1], r)
+    assert gap_conditions_ok(p, r) == gap_conditions_descending(p, r)
 
 
 def test_series_E_matches_pruned_walk_grid() -> None:

@@ -14,7 +14,6 @@ from gga_verify.partitions import (
     count_C,
     count_D,
     count_E,
-    enumerate_partitions,
     series_E,
 )
 from gga_verify.qseries import (
@@ -46,7 +45,6 @@ BAD = {
     "N": [-1],
     "k": [0],
     "index": [0],
-    "min_part": [0],
     "d": [0],
     "d_max": [0],
     "kind": ["X"],
@@ -55,7 +53,6 @@ BAD = {
 # Each entry point with a valid keyword call; every keyword is varied below.
 VALID = {
     IdentityParams: dict(r=2, i=1, J=0, N=5),
-    enumerate_partitions: dict(n=4, min_part=1),
     allowed_parts_C: dict(r=2, index=1, n=10),
     count_C: dict(params=IdentityParams(2, 1), n=5),
     count_D: dict(r=2, i=1, n=5),
