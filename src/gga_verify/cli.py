@@ -215,7 +215,7 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
         for i in i_values:
             for J in j_values:
                 check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
-    ctx = RunContext()  # one per run: every cell shares its product series and sweeps
+    ctx = RunContext()  # one per run: every cell shares its series, sweeps and splits
     for r in r_values:
         i_values = list(range(1, r + 1)) if i_selector is None else i_selector
         for i in i_values:
@@ -223,9 +223,9 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
                 yield verify_main(r, i, J, n, ctx=ctx)
                 if args.lemmas:
                     ell = r - i + 1
-                    yield verify_hp_step(r, 2 * J + 1, ell, J, n)
+                    yield verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
                     for d in (J + 1, J + 2):
-                        yield verify_hp_expansion(r, i, J, d, n)
+                        yield verify_hp_expansion(r, i, J, d, n, ctx=ctx)
                         yield verify_c_expansion(r, ell, J, d, n, ctx=ctx)
                     yield verify_mn_tables(r, i, J, J + 3, n)
                     yield verify_limits(r, i, J, n, ctx=ctx)

@@ -1,9 +1,10 @@
 """The caches that the cells of one verification run share.
 
 `cli._verify_reports` makes one `RunContext` per run and passes it to every
-verifier that reaches `c_series` or `count_D`.  A call without a context
-gets a fresh one, so no result depends on call history and no cache
-outlives the run that filled it.
+verifier.  A verifier called without a context makes one for that call, so
+no result depends on call history and no cache outlives the run that filled
+it.  The context holds three dicts: the product series, the level-zero
+sweep and the quotient side's splitting memo.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ class RunContext:
     products:   `c_series(r, index, n)`, keyed by (r, index, n);
     level_zero: per weight n, the partitions of n counted by
                 (smallest r whose difference conditions they meet,
-                number of parts <= 2), one sweep answering every `count_D`.
+                number of parts <= 2), one sweep answering every `count_D`;
+    splits:     `hp_split` sub-problem series (coefficient tuples), keyed by
+                (min_var, packed generators, budget); a quotient whose
+                generators are all single variables is keyed by
+                (min_var, packed generators) alone and kept at the largest
+                budget seen, since its series at a smaller budget is a prefix.
     """
 
     products: dict[tuple[int, int, int], TruncatedSeries] = field(default_factory=dict)
     level_zero: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
+    splits: dict[tuple, tuple[int, ...]] = field(default_factory=dict)

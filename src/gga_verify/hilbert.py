@@ -8,9 +8,14 @@ a monomial ideal, truncated at degree N:
   the ideal contains; the p(n) monomials of each weight are never listed.
 * hp_split runs the splitting identity
       HP(A/I) = q^w * HP(A/(I : f)) + HP(A/(I, f))
-  for a pivot variable f = x_k of weight w = k.  The colon and the sum
-  change at most the generators that contain f, so each step keeps the
-  generators canonical without re-minimalizing them.
+  for a pivot variable f = x_k of weight w = k (Bayer and Stillman,
+  "Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).  The
+  colon and the sum change at most the generators that contain f, so each
+  step keeps the generators canonical without re-minimalizing them.  It
+  runs on packed generators, the plain tuples (weight, exps), and keeps its
+  memo in the run context (`RunContext.splits`), keyed by the ambient
+  ring's min_var, the generators and the budget, so the cells of one run
+  share their sub-problems.
 
 Both engines keep their own stack, so neither is bounded by the
 interpreter's recursion limit.
@@ -26,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .context import RunContext
 from .errors import check_params
-from .monomial import Monomial, MonomialIdeal, _standard_counts, add_var, colon_var
+from .monomial import Monomial, MonomialIdeal, Packed, _add, _colon, _pack, _standard_counts
 from .qseries import TruncatedSeries, product_geometric_inverses
 
 
@@ -130,7 +136,7 @@ def hp_brute(quotient: GradedQuotient) -> TruncatedSeries:
     return TruncatedSeries(tuple(_standard_counts(quotient.ideal, quotient.trunc)))
 
 
-def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
+def _pivot_var(gens: tuple[Packed, ...]) -> int | None:
     """Smallest variable occurring in a generator that is not a single variable.
 
     Single-variable generators only mark killed variables: splitting on one
@@ -139,15 +145,34 @@ def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
     other generator, so the pivot never collides with one.
     """
     best: int | None = None
-    for g in gens:
-        if g.degree >= 2:
-            v = g.exps[0][0]
+    for _, exps in gens:
+        if len(exps) > 1 or exps[0][1] > 1:
+            v = exps[0][0]
             if best is None or v < best:
                 best = v
     return best
 
 
-def hp_split(quotient: GradedQuotient) -> TruncatedSeries:
+def _free_series(
+    splits: dict[tuple, tuple[int, ...]], min_var: int, gens: tuple[Packed, ...], budget: int
+) -> tuple[int, ...]:
+    """Series of the quotient by the single variables `gens`, through `budget`.
+
+    It is the product of 1/(1 - q^v) over the variables that are not killed.
+    The factors with v > budget only reach degrees above the budget, so the
+    series at a smaller budget is a prefix of the one at a larger budget:
+    one series per killed set, at the largest budget asked for, serves all.
+    """
+    key = (min_var, gens)
+    series = splits.get(key)
+    if series is None or len(series) <= budget:
+        killed = {exps[0][0] for _, exps in gens}
+        parts = [v for v in range(min_var, budget + 1) if v not in killed]
+        splits[key] = series = product_geometric_inverses(parts, budget).coeffs
+    return series[: budget + 1]
+
+
+def hp_split(quotient: GradedQuotient, *, ctx: RunContext | None = None) -> TruncatedSeries:
     """Hilbert-Poincare series by the colon/add splitting recursion.
 
     Each step picks the pivot x_k with k the smallest variable index in any
@@ -159,67 +184,69 @@ def hp_split(quotient: GradedQuotient) -> TruncatedSeries:
     truncation, so colon chains are pruned once their accumulated weight
     exceeds the degrees still being certified: the colon ideal keeps the
     generators within the smaller budget, which, as a subset of a minimal
-    set, is still minimal.  Results are memoized on the canonical generator
-    set plus the remaining budget.  The recursion runs on an explicit stack
-    of tasks, so a colon chain of any length fits.
+    set, is still minimal.
+
+    The input is canonicalized once and packed (see monomial.Packed); every
+    sub-problem is a sorted tuple of packed generators.  Solved sub-problems
+    go to `ctx.splits` under (min_var, generators, budget), so they are
+    shared by every call made with the same context; a call without one
+    gets a fresh context.  The recursion runs on an explicit stack of tasks,
+    so a colon chain of any length fits.
     """
+    splits = (RunContext() if ctx is None else ctx).splits
     min_var = quotient.min_var
-    memo: dict[tuple[tuple[Monomial, ...], int], tuple[int, ...]] = {}
     n = quotient.trunc
-    # A task (ideal, budget, None) solves a sub-problem; (ideal, budget,
-    # pivot) combines its two solved branches.  `solved` holds the series of
+    # A task (gens, budget, None) solves a sub-problem; (gens, budget, pivot)
+    # combines its two solved branches.  `solved` holds the series of
     # finished sub-problems, the most recent last.
-    todo = [(MonomialIdeal.build(quotient.ideal.gens, min_var, n), n, None)]
+    todo = [(_pack(MonomialIdeal.build(quotient.ideal.gens, min_var, n).gens), n, None)]
     solved: list[tuple[int, ...]] = []
     while todo:
-        ideal, budget, pivot = todo.pop()
-        key = (ideal.gens, budget)
+        gens, budget, pivot = todo.pop()
         if pivot is not None:
             low = solved.pop()
             out = list(solved.pop())
             for j, c in enumerate(low):
                 out[j + pivot] += c
-            memo[key] = result = tuple(out)
+            splits[(min_var, gens, budget)] = result = tuple(out)
             solved.append(result)
             continue
-        if ideal.is_unit:
+        if gens and not gens[0][0]:
             solved.append((0,) * (budget + 1))
             continue
-        pivot = _pivot_var(ideal.gens)
+        pivot = _pivot_var(gens)
         if pivot is None:
-            killed = {g.min_variable() for g in ideal.gens}
-            parts = [v for v in range(min_var, budget + 1) if v not in killed]
-            solved.append(product_geometric_inverses(parts, budget).coeffs)
+            solved.append(_free_series(splits, min_var, gens, budget))
             continue
-        cached = memo.get(key)
+        cached = splits.get((min_var, gens, budget))
         if cached is not None:
             solved.append(cached)
             continue
         # Last in, first out: the add branch runs first, then the colon.  The
         # pivot is the smallest variable of a generator of degree >= 2 and
         # weight <= budget, so the colon's budget is at least the pivot.
-        todo.append((ideal, budget, pivot))
+        todo.append((gens, budget, pivot))
         sub_budget = budget - pivot
-        col = colon_var(ideal, pivot)
-        low_gens = tuple(g for g in col.gens if g.weight <= sub_budget)
-        todo.append((MonomialIdeal(low_gens, min_var, sub_budget), sub_budget, None))
-        todo.append((add_var(ideal, pivot), budget, None))
+        todo.append((_colon(gens, pivot, sub_budget), sub_budget, None))
+        todo.append((_add(gens, pivot, budget), budget, None))
     return TruncatedSeries(solved.pop())
 
 
 @lru_cache(maxsize=None)
-def _hp_notation_cached(k: int, ell: int | None, r: int, n: int) -> TruncatedSeries:
+def _hp_notation_cached(k: int, ell: int | None, r: int, n: int) -> MonomialIdeal:
     if ell is None:
-        ideal = build_L_k(k, r, n)
-    else:
-        ideal = build_L_k_ell(k, ell, r, n)
-    return hp_split(GradedQuotient(ideal))
+        return build_L_k(k, r, n)
+    return build_L_k_ell(k, ell, r, n)
 
 
-def hp_notation(k: int, ell: int | None, r: int, n: int) -> TruncatedSeries:
+def hp_notation(
+    k: int, ell: int | None, r: int, n: int, *, ctx: RunContext | None = None
+) -> TruncatedSeries:
     """Series of the quotient by the family ideal at k (plain when ell is None).
 
-    The cache is safe to share: inputs fully determine the immutable result.
+    The ideal is cached for the life of the process: the arguments fully
+    determine it, and it is immutable.  Its series comes from `hp_split` on
+    `ctx`, so a repeated call in one run finds its root in `ctx.splits`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
-    return _hp_notation_cached(k, ell, r, n)
+    return hp_split(GradedQuotient(_hp_notation_cached(k, ell, r, n)), ctx=ctx)

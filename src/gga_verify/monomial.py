@@ -10,6 +10,7 @@ that is still counted.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -56,25 +57,11 @@ class Monomial:
         return sum(exp for _, exp in self.exps)
 
     def exponent(self, var: int) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
+        return _exponent(self.exps, var)
 
     def divides(self, other: Monomial) -> bool:
         """True iff every exponent of self is <= the matching one of other."""
-        it = iter(other.exps)
-        for var, exp in self.exps:
-            for v, e in it:
-                if v == var:
-                    if e < exp:
-                        return False
-                    break
-                if v > var:
-                    return False
-            else:
-                return False
-        return True
+        return _divides(self.exps, other.exps)
 
     def mul_var(self, var: int, exp: int = 1) -> Monomial:
         return Monomial.make(dict(self.exps) | {var: self.exponent(var) + exp})
@@ -102,15 +89,57 @@ class Monomial:
 UNIT = Monomial(())
 
 
+Exps = tuple[tuple[int, int], ...]
+
+
+def _exponent(exps: Exps, var: int) -> int:
+    for v, e in exps:
+        if v == var:
+            return e
+        if v > var:
+            break
+    return 0
+
+
+def _divides(small: Exps, big: Exps) -> bool:
+    """True iff every exponent of `small` is <= the matching one of `big`."""
+    it = iter(big)
+    for var, exp in small:
+        for v, e in it:
+            if v == var:
+                if e < exp:
+                    return False
+                break
+            if v > var:
+                return False
+        else:
+            return False
+    return True
+
+
+# A packed generator is the plain tuple (weight, exps) of a Monomial.  Tuple
+# order on it is Monomial.sort_key, so a sorted tuple of packed generators is
+# a canonical generator set that sorts without a key function and never
+# recomputes a weight.  hp_split runs on packed generators throughout.
+Packed = tuple[int, Exps]
+
+
+def _pack(gens: Iterable[Monomial]) -> tuple[Packed, ...]:
+    return tuple((g.weight, g.exps) for g in gens)
+
+
+def _unpack(packed: Iterable[Packed]) -> tuple[Monomial, ...]:
+    return tuple(Monomial(exps) for _, exps in packed)
+
+
 def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset generating the same ideal, sorted."""
-    pool = sorted(set(monomials), key=Monomial.sort_key)
-    kept: list[Monomial] = []
-    for m in pool:
-        # pool is sorted by weight, so no later element can divide m
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return tuple(kept)
+    kept: list[Exps] = []
+    for _, exps in sorted(set(_pack(monomials))):
+        # the pool is sorted by weight, so no later element can divide this one
+        if not any(_divides(k, exps) for k in kept):
+            kept.append(exps)
+    return tuple(Monomial(exps) for exps in kept)
 
 
 @dataclass(frozen=True)
@@ -150,42 +179,62 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
-def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The colon ideal (I : x_var), kept canonical without re-minimalizing.
+def _colon(gens: tuple[Packed, ...], var: int, trunc: int) -> tuple[Packed, ...]:
+    """(I : x_var) on sorted packed generators, keeping those of weight <= trunc.
 
     Each generator divisible by x_var loses one power of it; the rest stay.
     The changed generators stay pairwise incomparable, since g/x_var | h/x_var
     would give g | h.  No unchanged generator divides a changed one, since
     u | g/x_var would give u | g.  So minimality can fail only where a
     changed generator divides an unchanged one, and those unchanged ones go.
+    Generators that weigh more than trunc are dropped first.  That decides
+    nothing about the others, since a divisor weighs no more than what it
+    divides.
     """
+    changed: list[Packed] = []
+    rest: list[Packed] = []
+    for w, exps in gens:
+        if _exponent(exps, var):
+            if w - var <= trunc:
+                cut = tuple((v, e - (v == var)) for v, e in exps if v != var or e > 1)
+                changed.append((w - var, cut))
+        elif w <= trunc:
+            rest.append((w, exps))
+    if not changed:
+        return tuple(rest)
+    kept = [g for g in rest if not any(_divides(c, g[1]) for _, c in changed)]
+    return tuple(sorted(changed + kept))
+
+
+def _add(gens: tuple[Packed, ...], var: int, trunc: int) -> tuple[Packed, ...]:
+    """I + (x_var) on sorted packed generators.
+
+    When x_var lies outside I, no generator divides x_var, and x_var divides
+    exactly the generators that contain it: those go and x_var comes in.
+    When x_var lies in I (I is the unit ideal or has x_var among its
+    generators), or weighs more than the truncation, I is unchanged.
+    """
+    x = (var, ((var, 1),))
+    if var > trunc or (gens and not gens[0][0]) or x in gens:
+        return gens
+    kept = [g for g in gens if not _exponent(g[1], var)]
+    insort(kept, x)
+    return tuple(kept)
+
+
+def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
+    """The colon ideal (I : x_var), kept canonical without re-minimalizing (see _colon)."""
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    changed = [g.div_var(var) for g in ideal.gens if g.exponent(var)]
-    if not changed:
-        return ideal
-    kept = [
-        g for g in ideal.gens
-        if not g.exponent(var) and not any(c.divides(g) for c in changed)
-    ]
-    gens = tuple(sorted(changed + kept, key=Monomial.sort_key))
+    gens = _unpack(_colon(_pack(ideal.gens), var, ideal.trunc))
     return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
 
 
 def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The enlarged ideal I + (x_var), kept canonical without re-minimalizing.
-
-    When x_var lies outside I, no generator divides x_var, and x_var divides
-    exactly the generators that contain it: those go and x_var comes in.
-    When x_var lies in I, or weighs more than the truncation, I is unchanged.
-    """
+    """The enlarged ideal I + (x_var), kept canonical without re-minimalizing (see _add)."""
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    x = Monomial(((var, 1),))
-    if var > ideal.trunc or ideal.contains(x):
-        return ideal
-    kept = [g for g in ideal.gens if not g.exponent(var)]
-    gens = tuple(sorted(kept + [x], key=Monomial.sort_key))
+    gens = _unpack(_add(_pack(ideal.gens), var, ideal.trunc))
     return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
 
 

@@ -22,9 +22,10 @@ means a transcription bug, and diagnosis needs the witness coefficient.
 
 The cells of one run share work through a `RunContext`: `c_series` keeps
 each product-side series under (r, index, n), so the expansion terms and the
-limit tail that several cells name are built once, and `count_D` keeps one
-level-zero histogram per weight.  The verifiers that reach them take the
-context as `ctx`; without one each call starts from an empty context.
+limit tail that several cells name are built once, `count_D` keeps one
+level-zero histogram per weight, and `hp_split` keeps the quotient side's
+solved sub-problems.  Every verifier takes the context as `ctx`; one called
+without it makes a fresh context for that call.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ def _run_clauses(
     return CheckReport(check, params, True, None, n)
 
 
-def verify_hp_step(r: int, k: int, ell: int, J: int, n: int) -> CheckReport:
+def verify_hp_step(
+    r: int, k: int, ell: int, J: int, n: int, *, ctx: RunContext | None = None
+) -> CheckReport:
     """Check the odd-index recursion step of the quotient-side series.
 
     Main identity for odd k:
@@ -237,9 +240,10 @@ def verify_hp_step(r: int, k: int, ell: int, J: int, n: int) -> CheckReport:
     if k % 2 == 0 or k < 2 * J + 1:
         raise ParamOutOfRange(f"k = {k} violates k odd and k >= 2J+1 = {2 * J + 1}")
     params: dict[str, object] = {"r": r, "k": k, "ell": ell, "J": J, "N": n}
+    ctx = RunContext() if ctx is None else ctx
 
     def hp(kk: int, ll: int | None) -> TruncatedSeries:
-        return hp_notation(kk, ll, r, n)
+        return hp_notation(kk, ll, r, n, ctx=ctx)
 
     lhs = hp(k, ell)
     cascade = series_zero(n)
@@ -258,7 +262,9 @@ def verify_hp_step(r: int, k: int, ell: int, J: int, n: int) -> CheckReport:
     return _run_clauses("hp_step", params, n, clauses)
 
 
-def verify_hp_expansion(r: int, i: int, J: int, d: int, n: int) -> CheckReport:
+def verify_hp_expansion(
+    r: int, i: int, J: int, d: int, n: int, *, ctx: RunContext | None = None
+) -> CheckReport:
     """Check the depth-d expansion of the quotient side over its own family.
 
     HP(2J+1, i) = sum_{j=1}^{r} N[j, d] * HP(2d+1, r-j+1) through degree n.
@@ -267,11 +273,12 @@ def verify_hp_expansion(r: int, i: int, J: int, d: int, n: int) -> CheckReport:
     if d < J + 1:
         raise ParamOutOfRange(f"d = {d} violates d >= J+1 = {J + 1}")
     params: dict[str, object] = {"r": r, "i": i, "J": J, "d": d, "N": n}
+    ctx = RunContext() if ctx is None else ctx
     table = coeff_table("N", r, J, i, d, n)
-    lhs = hp_notation(2 * J + 1, i, r, n)
+    lhs = hp_notation(2 * J + 1, i, r, n, ctx=ctx)
     rhs = series_zero(n)
     for j in range(1, r + 1):
-        rhs = rhs + table.entry(j, d) * hp_notation(2 * d + 1, r - j + 1, r, n)
+        rhs = rhs + table.entry(j, d) * hp_notation(2 * d + 1, r - j + 1, r, n, ctx=ctx)
     return _run_clauses("hp_expansion", params, n, [("expansion", lhs, rhs)])
 
 
@@ -286,6 +293,7 @@ def verify_c_expansion(
     if d < J + 1:
         raise ParamOutOfRange(f"d = {d} violates d >= J+1 = {J + 1}")
     params: dict[str, object] = {"r": r, "ell": ell, "J": J, "d": d, "N": n}
+    ctx = RunContext() if ctx is None else ctx
     table = coeff_table("M", r, J, ell, d, n)
     lhs = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
     rhs = series_zero(n)
@@ -338,6 +346,7 @@ def verify_limits(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = No
     params: dict[str, object] = {
         "r": r, "i": i, "ell": ell, "J": J, "N": n, "d_stop": d_stop, "depth": depth,
     }
+    ctx = RunContext() if ctx is None else ctx
     m_table = coeff_table("M", r, J, ell, depth, n)
     n_table = coeff_table("N", r, J, i, depth, n)
     zero = series_zero(n)
@@ -347,14 +356,13 @@ def verify_limits(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = No
     for m in range(2, r + 1):
         clauses.append((f"m_entry_vanishes[j={m}]", m_table.entry(m, depth), zero))
         clauses.append((f"n_entry_vanishes[j={m}]", n_table.entry(m, depth), zero))
-    clauses.append(("hp_tail_is_one", hp_notation(2 * d_stop + 3, None, r, n), one))
+    clauses.append(("hp_tail_is_one", hp_notation(2 * d_stop + 3, None, r, n, ctx=ctx), one))
     tail = c_series(r, (r - 1) * (d_stop + 1) + 1, n, ctx=ctx)
     clauses.append(("product_tail_is_one", tail, one))
     head = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
     clauses.append(("m_stabilizes_to_product", m_table.entry(1, depth), head))
-    clauses.append(
-        ("n_stabilizes_to_quotient", n_table.entry(1, depth), hp_notation(2 * J + 1, i, r, n))
-    )
+    quotient_head = hp_notation(2 * J + 1, i, r, n, ctx=ctx)
+    clauses.append(("n_stabilizes_to_quotient", n_table.entry(1, depth), quotient_head))
     return _run_clauses("limits", params, n, clauses)
 
 
@@ -368,8 +376,9 @@ def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None
     check_params(r=r, i=i, J=J, n=n)
     ell = r - i + 1
     params: dict[str, object] = {"r": r, "i": i, "ell": ell, "J": J, "N": n}
+    ctx = RunContext() if ctx is None else ctx
     product_side = c_series(r, (r - 1) * J + ell, n, ctx=ctx)
-    quotient_side = hp_notation(2 * J + 1, i, r, n)
+    quotient_side = hp_notation(2 * J + 1, i, r, n, ctx=ctx)
     gap_side = series_E(r, i, J, n)
     clauses = [
         ("product_vs_gap", product_side, gap_side),

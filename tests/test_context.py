@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 from gga_verify.context import RunContext
+from gga_verify.hilbert import GradedQuotient, hp_notation, hp_split
+from gga_verify.monomial import Monomial, MonomialIdeal
 from gga_verify.partitions import count_D
-from gga_verify.recursion import c_series, verify_c_expansion, verify_limits, verify_main
+from gga_verify.recursion import (
+    c_series,
+    verify_c_expansion,
+    verify_hp_expansion,
+    verify_hp_step,
+    verify_limits,
+    verify_main,
+)
 
 
 def test_shared_context_matches_fresh_calls() -> None:
@@ -29,6 +38,35 @@ def test_shared_context_matches_fresh_calls() -> None:
                         step = (r, r - i + 1, J, d, n)
                         assert verify_c_expansion(*step, ctx=ctx) == verify_c_expansion(*step)
     assert ctx.products and ctx.level_zero
+
+
+def test_shared_context_matches_fresh_calls_on_the_quotient_side() -> None:
+    ctx = RunContext()
+    # equal generators in two rings and at three budgets: the split memo must
+    # tell them apart by min_var and by budget
+    square = Monomial.make({3: 2})
+    for n in (9, 7, 12):
+        for min_var in (1, 3):
+            quotient = GradedQuotient(MonomialIdeal.build([square], min_var, n))
+            assert hp_split(quotient, ctx=ctx) == hp_split(quotient), (min_var, n)
+    for n in (12, 8):
+        for r in (2, 3):
+            for k in (1, 2, 3, 5):
+                for ell in (None, *range(1, r + 1)):
+                    args = (k, ell, r, n)
+                    assert hp_notation(*args, ctx=ctx) == hp_notation(*args), args
+    for n in (10, 14):
+        for r in (2, 3):
+            for i in range(1, r + 1):
+                for J in (0, 1):
+                    step = (r, 2 * J + 1, r - i + 1, J, n)
+                    assert verify_hp_step(*step, ctx=ctx) == verify_hp_step(*step), step
+                    for d in (J + 1, J + 2):
+                        cell = (r, i, J, d, n)
+                        assert verify_hp_expansion(*cell, ctx=ctx) == verify_hp_expansion(*cell)
+                    cell = (r, i, J, n)
+                    assert verify_limits(*cell, ctx=ctx) == verify_limits(*cell), cell
+    assert ctx.splits
 
 
 def test_context_keeps_one_entry_per_key() -> None:

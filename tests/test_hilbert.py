@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import (
     GradedQuotient,
@@ -217,6 +218,32 @@ def quotients(draw) -> GradedQuotient:
 @given(quotients())
 def test_engines_agree_on_generated_ideals(quotient: GradedQuotient) -> None:
     assert hp_split(quotient) == hp_brute(quotient), str(quotient.ideal)
+
+
+@pytest.fixture(scope="module")
+def shared_ctx() -> RunContext:
+    return RunContext()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(quotient=quotients())
+def test_engines_agree_on_generated_ideals_with_one_shared_context(
+    shared_ctx: RunContext, quotient: GradedQuotient
+) -> None:
+    # one splitting memo across unrelated ideals, rings and truncations
+    assert hp_split(quotient, ctx=shared_ctx) == hp_brute(quotient), str(quotient.ideal)
+
+
+def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
+    # Every colon step on (x1^a, x2*x3) ends in the pivot-free quotients by
+    # (x1, x2) and (x1, x3), one budget lower each step; one context spans
+    # both truncations, so the kept series is sliced and then regrown.
+    ctx = RunContext()
+    for n in (24, 40):
+        for a in (2, 9, n):
+            gens = [Monomial.make({1: a}), Monomial.make({2: 1, 3: 1})]
+            quotient = GradedQuotient(MonomialIdeal.build(gens, 1, n))
+            assert hp_split(quotient, ctx=ctx) == hp_brute(quotient), (a, n)
 
 
 def test_engines_run_deeper_than_the_recursion_limit() -> None:
