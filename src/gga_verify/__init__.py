@@ -7,54 +7,13 @@ truncation degree.
 """
 
 from .context import RunContext
-from .errors import (
-    DegreeBeyondTruncation,
-    IndexOutOfRange,
-    InvalidPart,
-    NonDivisible,
-    ParamOutOfRange,
-    TruncationTooShort,
-)
-from .hilbert import (
-    GradedQuotient,
-    build_L_k,
-    build_L_k_ell,
-    build_L_riJ,
-    hp_brute,
-    hp_notation,
-    hp_split,
-)
-from .monomial import (
-    Monomial,
-    MonomialIdeal,
-    add_var,
-    colon_var,
-    minimalize,
-    standard_count,
-)
-from .partitions import (
-    IdentityParams,
-    allowed_parts_C,
-    count_C,
-    count_D,
-    count_E,
-    series_E,
-)
-from .qseries import (
-    Mismatch,
-    TruncatedSeries,
-    eq_up_to,
-    product_geometric_inverses,
-    q_power,
-    series_one,
-    series_zero,
-)
+from .errors import NonDivisible, ParamOutOfRange, TruncationTooShort
+from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_notation, hp_split
+from .partitions import count_C, count_D, count_E, series_E
+from .qseries import TruncatedSeries, eq_up_to
 from .recursion import (
     CheckReport,
-    CoeffTable,
     c_series,
-    coeff_table,
-    stop_depth,
     verify_c_expansion,
     verify_hp_expansion,
     verify_hp_step,
@@ -65,28 +24,15 @@ from .recursion import (
 
 __all__ = [
     "CheckReport",
-    "CoeffTable",
-    "DegreeBeyondTruncation",
-    "GradedQuotient",
-    "IdentityParams",
-    "IndexOutOfRange",
-    "InvalidPart",
-    "Mismatch",
-    "Monomial",
-    "MonomialIdeal",
     "NonDivisible",
     "ParamOutOfRange",
     "RunContext",
     "TruncatedSeries",
     "TruncationTooShort",
-    "add_var",
-    "allowed_parts_C",
     "build_L_k",
     "build_L_k_ell",
     "build_L_riJ",
     "c_series",
-    "coeff_table",
-    "colon_var",
     "count_C",
     "count_D",
     "count_E",
@@ -94,14 +40,7 @@ __all__ = [
     "hp_brute",
     "hp_notation",
     "hp_split",
-    "minimalize",
-    "product_geometric_inverses",
-    "q_power",
     "series_E",
-    "series_one",
-    "series_zero",
-    "standard_count",
-    "stop_depth",
     "verify_c_expansion",
     "verify_hp_expansion",
     "verify_hp_step",

@@ -22,8 +22,8 @@ from typing import Callable, Iterator, TextIO
 
 from .context import RunContext
 from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort, check_params
-from .hilbert import GradedQuotient, build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
-from .partitions import IdentityParams, count_C, count_D, count_E, series_E
+from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
+from .partitions import count_C, count_D, count_E, series_E
 from .qseries import eq_up_to
 from .recursion import (
     CheckReport,
@@ -71,6 +71,39 @@ def _parse_i(text: str) -> list[int] | None:
     if text == "all":
         return None
     return _parse_range(text)
+
+
+# Per subcommand, per kind or family: the optional flags it reads, each of
+# them required, and, when it has no level, why --J must stay 0.  Any other
+# optional flag given is rejected rather than ignored.
+_SERIES_FLAGS = {
+    "c": (("index",), "takes its level from --index"),
+    "e": (("i",), None),
+}
+_COUNT_FLAGS = {
+    "c": (("i",), "is a level-zero count"),
+    "d": (("i",), "is a level-zero count"),
+    "e": (("i",), None),
+}
+_HILBERT_FLAGS = {
+    "LriJ": (("i",), None),
+    "Lk": (("k",), "has no level"),
+    "Lkl": (("k", "ell"), "has no level"),
+}
+
+
+def _check_flags(
+    args: argparse.Namespace, label: str, rule: tuple[tuple[str, ...], str | None]
+) -> None:
+    """Reject an unread flag, then a nonzero --J without a level, then a missing flag."""
+    reads, no_level = rule
+    for flag in ("i", "k", "ell", "index"):
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise ValueError(f"{label} does not take --{flag}")
+    if no_level is not None and args.J != 0:
+        raise ValueError(f"{label} {no_level}: --J must be 0, not {args.J}")
+    if any(getattr(args, flag) is None for flag in reads):
+        raise ValueError(f"{label} requires " + " and ".join(f"--{flag}" for flag in reads))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,15 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
+    _check_flags(args, f"series {args.kind}", _SERIES_FLAGS[args.kind])
     if args.kind == "c":
-        if args.index is None:
-            raise ValueError("series c requires --index")
-        if args.J != 0:
-            raise ValueError(f"series c takes its level from --index: --J must be 0, not {args.J}")
         series = c_series(args.r, args.index, args.N)
     else:
-        if args.i is None:
-            raise ValueError("series e requires --i")
         series = series_E(args.r, args.i, args.J, args.N)
     if args.format == "table":
         for j, coeff in enumerate(series.coeffs):
@@ -142,10 +170,9 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
-    if args.kind in ("c", "d") and args.J != 0:
-        raise ValueError(f"count {args.kind} is a level-zero count: --J must be 0, not {args.J}")
+    _check_flags(args, f"count {args.kind}", _COUNT_FLAGS[args.kind])
     if args.kind == "c":
-        value = count_C(IdentityParams(args.r, args.i, args.J), args.n)
+        value = count_C(args.r, args.i, args.n)
     elif args.kind == "d":
         value = count_D(args.r, args.i, args.n)
     else:
@@ -165,26 +192,18 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
-    if args.family != "LriJ" and args.J != 0:
-        raise ValueError(f"family {args.family} has no level: --J must be 0, not {args.J}")
+    _check_flags(args, f"family {args.family}", _HILBERT_FLAGS[args.family])
     if args.family == "LriJ":
-        if args.i is None:
-            raise ValueError("family LriJ requires --i")
         ideal = build_L_riJ(args.r, args.i, args.J, args.N)
         params = {"r": args.r, "i": args.i, "J": args.J, "N": args.N}
     elif args.family == "Lk":
-        if args.k is None:
-            raise ValueError("family Lk requires --k")
         ideal = build_L_k(args.k, args.r, args.N)
         params = {"k": args.k, "r": args.r, "N": args.N}
     else:
-        if args.k is None or args.ell is None:
-            raise ValueError("family Lkl requires --k and --ell")
         ideal = build_L_k_ell(args.k, args.ell, args.r, args.N)
         params = {"k": args.k, "ell": args.ell, "r": args.r, "N": args.N}
-    quotient = GradedQuotient(ideal)
-    brute = hp_brute(quotient)
-    split = hp_split(quotient)
+    brute = hp_brute(ideal)
+    split = hp_split(ideal)
     agree, _ = eq_up_to(brute, split, args.N)
     payload = {
         "family": args.family,

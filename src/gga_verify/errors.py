@@ -20,10 +20,6 @@ class TruncationTooShort(ValueError):
     """A coefficient beyond the certified truncation range was requested."""
 
 
-class IndexOutOfRange(ValueError):
-    """A congruence-family index outside 1..r was supplied."""
-
-
 class ParamOutOfRange(ValueError):
     """A parameter lies outside the range the identities are stated for."""
 

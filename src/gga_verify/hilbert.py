@@ -28,28 +28,12 @@ plus three boundary generators controlling the smallest two variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .context import RunContext
 from .errors import check_params
 from .monomial import Monomial, MonomialIdeal, Packed, _add, _colon, _pack, _standard_counts
 from .qseries import TruncatedSeries, product_geometric_inverses
-
-
-@dataclass(frozen=True)
-class GradedQuotient:
-    """Quotient of the ring on x_{min_var}, x_{min_var+1}, ... by a monomial ideal."""
-
-    ideal: MonomialIdeal
-
-    @property
-    def min_var(self) -> int:
-        return self.ideal.min_var
-
-    @property
-    def trunc(self) -> int:
-        return self.ideal.trunc
 
 
 def _x(var: int, exp: int = 1) -> Monomial:
@@ -127,13 +111,13 @@ def build_L_k_ell(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
     return MonomialIdeal.build(gens, k, n)
 
 
-def hp_brute(quotient: GradedQuotient) -> TruncatedSeries:
-    """Hilbert-Poincare series by direct standard-monomial counting.
+def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
+    """Hilbert-Poincare series of the quotient by `ideal`, by standard-monomial counting.
 
-    One walk over the standard monomials of weight <= N counts every degree;
-    see monomial._standard_counts for the order-ideal argument.
+    One walk over the standard monomials of weight <= ideal.trunc counts every
+    degree; see monomial._standard_counts for the order-ideal argument.
     """
-    return TruncatedSeries(tuple(_standard_counts(quotient.ideal, quotient.trunc)))
+    return TruncatedSeries(tuple(_standard_counts(ideal, ideal.trunc)))
 
 
 def _pivot_var(gens: tuple[Packed, ...]) -> int | None:
@@ -172,8 +156,8 @@ def _free_series(
     return series[: budget + 1]
 
 
-def hp_split(quotient: GradedQuotient, *, ctx: RunContext | None = None) -> TruncatedSeries:
-    """Hilbert-Poincare series by the colon/add splitting recursion.
+def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> TruncatedSeries:
+    """Hilbert-Poincare series of the quotient by `ideal`, by colon/add splitting.
 
     Each step picks the pivot x_k with k the smallest variable index in any
     non-simple minimal generator and splits the quotient along it.  The
@@ -194,12 +178,12 @@ def hp_split(quotient: GradedQuotient, *, ctx: RunContext | None = None) -> Trun
     so a colon chain of any length fits.
     """
     splits = (RunContext() if ctx is None else ctx).splits
-    min_var = quotient.min_var
-    n = quotient.trunc
+    min_var = ideal.min_var
+    n = ideal.trunc
     # A task (gens, budget, None) solves a sub-problem; (gens, budget, pivot)
     # combines its two solved branches.  `solved` holds the series of
     # finished sub-problems, the most recent last.
-    todo = [(_pack(MonomialIdeal.build(quotient.ideal.gens, min_var, n).gens), n, None)]
+    todo = [(_pack(MonomialIdeal.build(ideal.gens, min_var, n).gens), n, None)]
     solved: list[tuple[int, ...]] = []
     while todo:
         gens, budget, pivot = todo.pop()
@@ -249,4 +233,4 @@ def hp_notation(
     `ctx`, so a repeated call in one run finds its root in `ctx.splits`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
-    return hp_split(GradedQuotient(_hp_notation_cached(k, ell, r, n)), ctx=ctx)
+    return hp_split(_hp_notation_cached(k, ell, r, n), ctx=ctx)

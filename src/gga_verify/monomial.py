@@ -36,14 +36,6 @@ class Monomial:
                 items.append((var, exp))
         return cls(tuple(items))
 
-    @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> Monomial:
-        """The monomial whose exponent of x_k is the multiplicity of part k."""
-        exps: dict[int, int] = {}
-        for p in parts:
-            exps[p] = exps.get(p, 0) + 1
-        return cls.make(exps)
-
     @property
     def is_unit(self) -> bool:
         return not self.exps
@@ -52,25 +44,12 @@ class Monomial:
     def weight(self) -> int:
         return sum(var * exp for var, exp in self.exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(exp for _, exp in self.exps)
-
     def exponent(self, var: int) -> int:
         return _exponent(self.exps, var)
 
     def divides(self, other: Monomial) -> bool:
         """True iff every exponent of self is <= the matching one of other."""
         return _divides(self.exps, other.exps)
-
-    def mul_var(self, var: int, exp: int = 1) -> Monomial:
-        return Monomial.make(dict(self.exps) | {var: self.exponent(var) + exp})
-
-    def div_var(self, var: int) -> Monomial:
-        e = self.exponent(var)
-        if e < 1:
-            raise ValueError(f"{self} is not divisible by x_{var}")
-        return Monomial.make(dict(self.exps) | {var: e - 1})
 
     def min_variable(self) -> int | None:
         return self.exps[0][0] if self.exps else None
@@ -167,10 +146,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[0].is_unit
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
 
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)

@@ -24,29 +24,11 @@ agreement is evidence rather than tautology.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .context import RunContext
-from .errors import IndexOutOfRange, check_params
+from .errors import ParamOutOfRange, check_params
 from .qseries import TruncatedSeries, product_geometric_inverses
-
-
-@dataclass(frozen=True)
-class IdentityParams:
-    """Validated parameter bundle (r, i, J, N) with ell = r - i + 1 derived."""
-
-    r: int
-    i: int
-    J: int = 0
-    N: int = 0
-
-    def __post_init__(self) -> None:
-        check_params(r=self.r, i=self.i, J=self.J, N=self.N)
-
-    @property
-    def ell(self) -> int:
-        return self.r - self.i + 1
 
 
 def _ascending_partitions(n: int, min_part: int) -> Iterator[list[int]]:
@@ -93,17 +75,17 @@ def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
     """
     check_params(r=r, n=n)
     if not 1 <= index <= r:
-        raise IndexOutOfRange(f"index = {index} violates 1 <= index <= {r}")
+        raise ParamOutOfRange(f"index = {index} violates 1 <= index <= {r}")
     modulus = 4 * r
     odd = 2 * index - 1
     banned = {0, (2 * r + odd) % modulus, (2 * r - odd) % modulus}
     return [m for m in range(1, n + 1) if m % 4 != 2 and m % modulus not in banned]
 
 
-def count_C(params: IdentityParams, n: int) -> int:
-    """Partitions of n into admissible congruence-side parts (index ell)."""
-    check_params(n=n)
-    parts = allowed_parts_C(params.r, params.ell, n)
+def count_C(r: int, i: int, n: int) -> int:
+    """Partitions of n into admissible congruence-side parts of index ell = r - i + 1."""
+    check_params(r=r, i=i, n=n)
+    parts = allowed_parts_C(r, r - i + 1, n)
     return product_geometric_inverses(parts, n)[n]
 
 

@@ -115,13 +115,6 @@ class TruncatedSeries:
     def to_json_dict(self) -> dict:
         return {"trunc": self.trunc, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> TruncatedSeries:
-        coeffs = tuple(int(c) for c in data["coeffs"])
-        if len(coeffs) != int(data["trunc"]) + 1:
-            raise ValueError("coefficient list does not match stated truncation")
-        return cls(coeffs)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 

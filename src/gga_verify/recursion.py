@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
 from .hilbert import hp_notation
-from .partitions import IdentityParams, count_C, count_D, series_E
+from .partitions import count_C, count_D, series_E
 from .qseries import (
     Mismatch,
     TruncatedSeries,
@@ -386,8 +386,7 @@ def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None
         ("product_vs_quotient", product_side, quotient_side),
     ]
     if J == 0:
-        params_c = IdentityParams(r, i)
-        congruence = TruncatedSeries(tuple(count_C(params_c, m) for m in range(n + 1)))
+        congruence = TruncatedSeries(tuple(count_C(r, i, m) for m in range(n + 1)))
         level_zero = TruncatedSeries(tuple(count_D(r, i, m, ctx=ctx) for m in range(n + 1)))
         clauses.append(("congruence_vs_gap_counts", congruence, level_zero))
     return _run_clauses("main", params, n, clauses)

@@ -14,8 +14,9 @@ package is evidence, not circularity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from gga_verify.monomial import Monomial, MonomialIdeal
 
@@ -173,10 +174,28 @@ def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
     return count(n, i - 1)
 
 
+def monomial_from_parts(parts: Iterable[int]) -> Monomial:
+    """The monomial whose exponent of x_k is the multiplicity of part k."""
+    return Monomial.make(Counter(parts))
+
+
+def mul_var(m: Monomial, var: int) -> Monomial:
+    """m * x_var."""
+    return Monomial.make(dict(m.exps) | {var: m.exponent(var) + 1})
+
+
+def div_var(m: Monomial, var: int) -> Monomial:
+    """m / x_var, for an m that x_var divides."""
+    e = m.exponent(var)
+    if e < 1:
+        raise ValueError(f"{m} is not divisible by x_{var}")
+    return Monomial.make(dict(m.exps) | {var: e - 1})
+
+
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
     """All standard monomials of the given weight: every partition, filtered."""
     for parts in ascending_partitions(weight, ideal.min_var):
-        m = Monomial.from_parts(parts)
+        m = monomial_from_parts(parts)
         if not ideal.contains(m):
             yield m
 

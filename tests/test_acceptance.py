@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterator
 
 from gga_verify.hilbert import (
-    GradedQuotient,
     build_L_k_ell,
     build_L_riJ,
     hp_brute,
@@ -24,7 +23,7 @@ from gga_verify.hilbert import (
     hp_split,
 )
 from gga_verify.monomial import Monomial, MonomialIdeal
-from gga_verify.partitions import IdentityParams, count_C, count_D, series_E
+from gga_verify.partitions import count_C, count_D, series_E
 from gga_verify.qseries import eq_up_to, series_one
 from gga_verify.recursion import (
     c_series,
@@ -61,9 +60,8 @@ def test_criterion_1_counts_agree_to_forty(acceptance_log) -> None:
         started = time.perf_counter()
         for r in (2, 3, 4):
             for i in range(1, r + 1):
-                params = IdentityParams(r, i, 0, 40)
                 for n in range(41):
-                    assert count_C(params, n) == count_D(r, i, n), (r, i, n)
+                    assert count_C(r, i, n) == count_D(r, i, n), (r, i, n)
         assert time.perf_counter() - started < 60.0
 
 
@@ -86,8 +84,8 @@ def test_criterion_3_hilbert_bridge_to_thirty(acceptance_log) -> None:
         for r in (2, 3):
             for i in range(1, r + 1):
                 for J in (0, 1, 2):
-                    quotient = GradedQuotient(build_L_riJ(r, i, J, 30))
-                    ok, mismatch = eq_up_to(hp_brute(quotient), series_E(r, i, J, 30), 30)
+                    ideal = build_L_riJ(r, i, J, 30)
+                    ok, mismatch = eq_up_to(hp_brute(ideal), series_E(r, i, J, 30), 30)
                     assert ok, (r, i, J, mismatch)
 
 
@@ -116,8 +114,7 @@ def test_criterion_4_engine_equivalence(acceptance_log) -> None:
         ]
         ideals += _seeded_random_ideals(20, 25)
         for ideal in ideals:
-            quotient = GradedQuotient(ideal)
-            ok, mismatch = eq_up_to(hp_brute(quotient), hp_split(quotient), 25)
+            ok, mismatch = eq_up_to(hp_brute(ideal), hp_split(ideal), 25)
             assert ok, (str(ideal), mismatch)
 
 
@@ -137,7 +134,7 @@ def test_criterion_5_structure_notes(acceptance_log) -> None:
                     direct = build_L_riJ(r, i, J, n)
                     via_ell = build_L_k_ell(2 * J + 1, i, r, n)
                     assert via_ell.gens == direct.gens, ("N3 generators", r, i, J)
-                    hp = hp_split(GradedQuotient(direct))
+                    hp = hp_split(direct)
                     assert eq_up_to(hp, hp_notation(2 * J + 1, i, r, n), n)[0], ("N3", r, i, J)
 
 
@@ -193,7 +190,6 @@ def test_criterion_9_classical_spot_values(acceptance_log) -> None:
         golden = json.loads((GOLDEN / "classical_spot_values.json").read_text())
         frozen = [int(v) for v in golden["values"]]
         assert frozen == [1, 1, 1, 1, 2, 2, 2, 3, 4]
-        params = IdentityParams(golden["r"], golden["i"])
         for n in range(9):
             oracle = restricted_partition_count(n, [1, 4, 7])
-            assert oracle == frozen[n] == count_C(params, n)
+            assert oracle == frozen[n] == count_C(golden["r"], golden["i"], n)

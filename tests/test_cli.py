@@ -41,8 +41,9 @@ def test_series_degenerate_truncation() -> None:
 
 def test_series_output_roundtrips() -> None:
     _, out = run_cli("series", "c", "--r", "3", "--index", "4", "--N", "12")
-    series = TruncatedSeries.from_json_dict(json.loads(out))
-    assert series.trunc == 12
+    data = json.loads(out)
+    series = TruncatedSeries(tuple(int(c) for c in data["coeffs"]))
+    assert series.trunc == data["trunc"] == 12
 
 
 def test_series_missing_index_is_usage_error() -> None:
@@ -98,6 +99,26 @@ def test_level_free_commands_reject_nonzero_J(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--J must be 0, not 5" in err and err.count("\n") == 1
     assert run_cli(*argv, "--J", "0") == default
+
+
+# Each argv gives a flag its family or kind does not read, and the one error line.
+UNREAD_FLAG = [
+    ("hilbert --family Lk --k 3 --r 2 --i 9 --N 3", "family Lk does not take --i"),
+    ("hilbert --family Lk --k 3 --ell 1 --r 2 --N 6", "family Lk does not take --ell"),
+    ("hilbert --family Lkl --k 2 --ell 1 --r 3 --i 1 --N 6", "family Lkl does not take --i"),
+    ("hilbert --family LriJ --r 2 --i 1 --k 3 --N 6", "family LriJ does not take --k"),
+    ("hilbert --family LriJ --r 2 --i 1 --ell 1 --N 6", "family LriJ does not take --ell"),
+    ("series e --r 2 --i 1 --index 1 --N 6", "series e does not take --index"),
+    ("series c --r 2 --index 1 --i 1 --N 6", "series c does not take --i"),
+]
+
+
+@pytest.mark.parametrize(("argv", "message"), UNREAD_FLAG, ids=[argv for argv, _ in UNREAD_FLAG])
+def test_flag_the_family_or_kind_does_not_read_is_rejected(
+    argv: str, message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert run_cli(*argv.split()) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_hilbert_families() -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from gga_verify.context import RunContext
-from gga_verify.hilbert import GradedQuotient, hp_notation, hp_split
+from gga_verify.hilbert import hp_notation, hp_split
 from gga_verify.monomial import Monomial, MonomialIdeal
 from gga_verify.partitions import count_D
 from gga_verify.recursion import (
@@ -47,8 +47,8 @@ def test_shared_context_matches_fresh_calls_on_the_quotient_side() -> None:
     square = Monomial.make({3: 2})
     for n in (9, 7, 12):
         for min_var in (1, 3):
-            quotient = GradedQuotient(MonomialIdeal.build([square], min_var, n))
-            assert hp_split(quotient, ctx=ctx) == hp_split(quotient), (min_var, n)
+            ideal = MonomialIdeal.build([square], min_var, n)
+            assert hp_split(ideal, ctx=ctx) == hp_split(ideal), (min_var, n)
     for n in (12, 8):
         for r in (2, 3):
             for k in (1, 2, 3, 5):

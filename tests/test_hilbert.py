@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import (
-    GradedQuotient,
     build_L_k,
     build_L_k_ell,
     build_L_riJ,
@@ -80,7 +79,7 @@ def test_build_L_riJ_golden_r2_i2_J0() -> None:
     data = json.loads((GOLDEN / "ideal_LriJ_r2_i2_J0_N8.json").read_text())
     ideal = build_L_riJ(2, 2, 0, 8)
     assert [str(g) for g in ideal.gens] == data["generators"]
-    hp = hp_brute(GradedQuotient(ideal))
+    hp = hp_brute(ideal)
     assert [str(c) for c in hp.coeffs] == data["hp"]
 
 
@@ -139,7 +138,7 @@ def test_build_L_k_ell_even_degenerate_ell_one() -> None:
     gens = set(ideal.gens)
     assert Monomial.make({2: 1}) in gens
     # HP equals the plain family quotient one variable up
-    lhs = hp_split(GradedQuotient(ideal))
+    lhs = hp_split(ideal)
     rhs = hp_notation(3, None, 3, 15)
     assert eq_up_to(lhs, rhs, 15)[0]
 
@@ -156,33 +155,33 @@ def test_param_validation() -> None:
 
 
 def test_hp_brute_free_quotient_counts_partitions() -> None:
-    free = GradedQuotient(MonomialIdeal.build([], 1, 12))
+    free = MonomialIdeal.build([], 1, 12)
     hp = hp_brute(free)
     for j in range(13):
         assert hp[j] == classical_partition_count(j)
 
 
 def test_hp_brute_single_square() -> None:
-    quotient = GradedQuotient(MonomialIdeal.build([Monomial.make({1: 2})], 1, 2))
-    assert hp_brute(quotient).coeffs == (1, 1, 1)
+    ideal = MonomialIdeal.build([Monomial.make({1: 2})], 1, 2)
+    assert hp_brute(ideal).coeffs == (1, 1, 1)
 
 
 def test_hp_brute_unit_ideal_is_zero_series() -> None:
-    unit = GradedQuotient(MonomialIdeal.build([Monomial.make({})], 1, 6))
+    unit = MonomialIdeal.build([Monomial.make({})], 1, 6)
     assert hp_brute(unit).coeffs == (0,) * 7
     assert hp_split(unit).coeffs == (0,) * 7
 
 
 def test_hp_split_free_quotient_is_geometric_product() -> None:
     for min_var in (1, 3):
-        free = GradedQuotient(MonomialIdeal.build([], min_var, 14))
+        free = MonomialIdeal.build([], min_var, 14)
         expected = product_geometric_inverses(range(min_var, 15), 14)
         assert hp_split(free).coeffs == expected.coeffs
 
 
 def test_hp_split_single_square_against_brute() -> None:
-    quotient = GradedQuotient(MonomialIdeal.build([Monomial.make({1: 2})], 1, 12))
-    assert hp_split(quotient).coeffs == hp_brute(quotient).coeffs
+    ideal = MonomialIdeal.build([Monomial.make({1: 2})], 1, 12)
+    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
 def _random_ideal(rng: random.Random, trunc: int) -> MonomialIdeal:
@@ -200,24 +199,23 @@ def test_engine_equivalence_on_random_ideals() -> None:
     rng = random.Random(2025)
     for _ in range(20):
         ideal = _random_ideal(rng, 25)
-        quotient = GradedQuotient(ideal)
-        ok, mismatch = eq_up_to(hp_brute(quotient), hp_split(quotient), 25)
+        ok, mismatch = eq_up_to(hp_brute(ideal), hp_split(ideal), 25)
         assert ok, (str(ideal), mismatch)
 
 
 @st.composite
-def quotients(draw) -> GradedQuotient:
-    """A quotient by non-unit generators on six variables from min_var up."""
+def ideals(draw) -> MonomialIdeal:
+    """An ideal of non-unit generators on six variables from min_var up."""
     min_var = draw(st.integers(1, 3))
     exps = st.dictionaries(st.integers(min_var, min_var + 5), st.integers(1, 3), min_size=1, max_size=3)
     gens = [Monomial.make(e) for e in draw(st.lists(exps, min_size=1, max_size=8))]
-    return GradedQuotient(MonomialIdeal.build(gens, min_var, draw(st.integers(12, 24))))
+    return MonomialIdeal.build(gens, min_var, draw(st.integers(12, 24)))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(quotients())
-def test_engines_agree_on_generated_ideals(quotient: GradedQuotient) -> None:
-    assert hp_split(quotient) == hp_brute(quotient), str(quotient.ideal)
+@given(ideals())
+def test_engines_agree_on_generated_ideals(ideal: MonomialIdeal) -> None:
+    assert hp_split(ideal) == hp_brute(ideal), str(ideal)
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +224,12 @@ def shared_ctx() -> RunContext:
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(quotient=quotients())
+@given(ideal=ideals())
 def test_engines_agree_on_generated_ideals_with_one_shared_context(
-    shared_ctx: RunContext, quotient: GradedQuotient
+    shared_ctx: RunContext, ideal: MonomialIdeal
 ) -> None:
     # one splitting memo across unrelated ideals, rings and truncations
-    assert hp_split(quotient, ctx=shared_ctx) == hp_brute(quotient), str(quotient.ideal)
+    assert hp_split(ideal, ctx=shared_ctx) == hp_brute(ideal), str(ideal)
 
 
 def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
@@ -242,8 +240,8 @@ def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
     for n in (24, 40):
         for a in (2, 9, n):
             gens = [Monomial.make({1: a}), Monomial.make({2: 1, 3: 1})]
-            quotient = GradedQuotient(MonomialIdeal.build(gens, 1, n))
-            assert hp_split(quotient, ctx=ctx) == hp_brute(quotient), (a, n)
+            ideal = MonomialIdeal.build(gens, 1, n)
+            assert hp_split(ideal, ctx=ctx) == hp_brute(ideal), (a, n)
 
 
 def test_engines_run_deeper_than_the_recursion_limit() -> None:
@@ -251,8 +249,8 @@ def test_engines_run_deeper_than_the_recursion_limit() -> None:
     # and the walk reaches x1^300 in the quotient by (x2, ..., x300).
     n = 300
     killed = [Monomial.make({v: 1}) for v in range(2, n + 1)]
-    chain = GradedQuotient(MonomialIdeal.build([Monomial.make({1: n})] + killed, 1, n))
-    walk = GradedQuotient(MonomialIdeal.build(killed, 1, n))
+    chain = MonomialIdeal.build([Monomial.make({1: n})] + killed, 1, n)
+    walk = MonomialIdeal.build(killed, 1, n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
@@ -266,8 +264,8 @@ def test_engines_run_deeper_than_the_recursion_limit() -> None:
 
 def test_engine_equivalence_on_family_ideals() -> None:
     for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 3, 0), (3, 1, 2)]:
-        quotient = GradedQuotient(build_L_riJ(r, i, J, 22))
-        assert eq_up_to(hp_brute(quotient), hp_split(quotient), 22)[0]
+        ideal = build_L_riJ(r, i, J, 22)
+        assert eq_up_to(hp_brute(ideal), hp_split(ideal), 22)[0]
 
 
 def test_splitting_step_locally_checkable() -> None:
@@ -275,12 +273,12 @@ def test_splitting_step_locally_checkable() -> None:
     rng = random.Random(99)
     for _ in range(10):
         ideal = _random_ideal(rng, 18)
-        if ideal.is_unit or ideal.is_zero:
+        if ideal.is_unit or not ideal.gens:
             continue
         pivot = min(v for g in ideal.gens for v, _ in g.exps)
-        whole = hp_brute(GradedQuotient(ideal))
-        low = hp_brute(GradedQuotient(colon_var(ideal, pivot)))
-        rest = hp_brute(GradedQuotient(add_var(ideal, pivot)))
+        whole = hp_brute(ideal)
+        low = hp_brute(colon_var(ideal, pivot))
+        rest = hp_brute(add_var(ideal, pivot))
         assert whole.coeffs == (low.shift(pivot) + rest).coeffs
 
 
@@ -290,8 +288,7 @@ def test_hp_split_handles_killed_variables() -> None:
     ideal = MonomialIdeal.build(
         [Monomial.make({1: 1}), Monomial.make({2: 2}), Monomial.make({3: 1, 4: 1})], 1, 15
     )
-    quotient = GradedQuotient(ideal)
-    assert hp_split(quotient).coeffs == hp_brute(quotient).coeffs
+    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
 def test_hp_split_terminates_on_dense_repeated_variables() -> None:
@@ -301,14 +298,14 @@ def test_hp_split_terminates_on_dense_repeated_variables() -> None:
         Monomial.make({1: 2, 2: 2, 3: 2}),
         Monomial.make({2: 4, 4: 1}),
     ]
-    quotient = GradedQuotient(MonomialIdeal.build(gens, 1, 20))
-    assert hp_split(quotient).coeffs == hp_brute(quotient).coeffs
+    ideal = MonomialIdeal.build(gens, 1, 20)
+    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
 def test_partition_bridge() -> None:
     # coefficient j of the boundary quotient equals the gap-side count
     for r, i, J in [(2, 2, 0), (3, 1, 1), (3, 2, 2)]:
-        hp = hp_brute(GradedQuotient(build_L_riJ(r, i, J, 18)))
+        hp = hp_brute(build_L_riJ(r, i, J, 18))
         for j in range(19):
             assert hp[j] == count_E(r, i, J, j)
 
@@ -323,7 +320,7 @@ def test_note_N1_through_N3() -> None:
             assert eq_up_to(hp_notation(k, r, r, n), hp_notation(k, None, r, n), n)[0], ("N2", r, k)
         for i in range(1, r + 1):
             for J in (0, 1):
-                lhs = hp_brute(GradedQuotient(build_L_riJ(r, i, J, n)))
+                lhs = hp_brute(build_L_riJ(r, i, J, n))
                 assert eq_up_to(lhs, hp_notation(2 * J + 1, i, r, n), n)[0], ("N3", r, i, J)
 
 
@@ -343,6 +340,6 @@ def test_hp_notation_coefficients_are_gap_counts() -> None:
 
 
 def test_truncation_monotonicity_of_engines() -> None:
-    small = hp_split(GradedQuotient(build_L_riJ(2, 2, 0, 12)))
-    large = hp_split(GradedQuotient(build_L_riJ(2, 2, 0, 24)))
+    small = hp_split(build_L_riJ(2, 2, 0, 12))
+    large = hp_split(build_L_riJ(2, 2, 0, 24))
     assert large.coeffs[:13] == small.coeffs

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gga_verify.errors import IndexOutOfRange, ParamOutOfRange
+from gga_verify.errors import ParamOutOfRange
 from gga_verify.partitions import (
-    IdentityParams,
     _ascending_partitions,
     _least_gap_r,
     allowed_parts_C,
@@ -38,16 +37,6 @@ def test_partition_validation() -> None:
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((3, 0))
-
-
-def test_identity_params_validation() -> None:
-    params = IdentityParams(3, 2, 1, 25)
-    assert params.ell == 2
-    assert 1 <= params.ell <= params.r
-    for bad in [dict(r=1, i=1), dict(r=2, i=0), dict(r=2, i=3), dict(r=2, i=1, J=-1),
-                dict(r=2, i=1, N=-5)]:
-        with pytest.raises(ParamOutOfRange):
-            IdentityParams(**bad)
 
 
 def test_enumerate_partitions_count_matches_recurrence() -> None:
@@ -87,25 +76,24 @@ def test_allowed_parts_by_independent_residue_filter() -> None:
 
 
 def test_allowed_parts_errors() -> None:
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ParamOutOfRange, match=r"^index = 3 violates 1 <= index <= 2$"):
         allowed_parts_C(2, 3, 10)
     with pytest.raises(ParamOutOfRange):
         allowed_parts_C(1, 1, 10)
 
 
 def test_count_C_examples() -> None:
-    assert count_C(IdentityParams(2, 2), 5) == 2  # 4+1 and 1^5
-    assert count_C(IdentityParams(2, 2), 8) == 4  # 1^8, 4+1^4, 4+4, 7+1
+    assert count_C(2, 2, 5) == 2  # 4+1 and 1^5
+    assert count_C(2, 2, 8) == 4  # 1^8, 4+1^4, 4+4, 7+1
     for r, i in [(2, 1), (3, 3), (4, 2)]:
-        assert count_C(IdentityParams(r, i), 0) == 1
+        assert count_C(r, i, 0) == 1
 
 
 def test_count_C_matches_exhaustive_enumeration() -> None:
     for r, i in [(2, 1), (2, 2), (3, 2)]:
-        params = IdentityParams(r, i)
-        parts = allowed_parts_C(r, params.ell, 30)
+        parts = allowed_parts_C(r, r - i + 1, 30)
         for n in range(31):
-            assert count_C(params, n) == restricted_partition_count(n, parts)
+            assert count_C(r, i, n) == restricted_partition_count(n, parts)
 
 
 def test_count_D_examples() -> None:

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from gga_verify.errors import IndexOutOfRange, ParamOutOfRange
+from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_notation
 from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import (
-    IdentityParams,
     allowed_parts_C,
     count_C,
     count_D,
@@ -52,9 +51,8 @@ BAD = {
 
 # Each entry point with a valid keyword call; every keyword is varied below.
 VALID = {
-    IdentityParams: dict(r=2, i=1, J=0, N=5),
     allowed_parts_C: dict(r=2, index=1, n=10),
-    count_C: dict(params=IdentityParams(2, 1), n=5),
+    count_C: dict(r=2, i=1, n=5),
     count_D: dict(r=2, i=1, n=5),
     count_E: dict(r=2, i=1, J=0, n=5),
     series_E: dict(r=2, i=1, J=0, n=5),
@@ -77,7 +75,6 @@ CASES = [
     pytest.param(fn, name, value, kwargs, id=f"{fn.__name__}-{name}={value}")
     for fn, kwargs in VALID.items()
     for name in kwargs
-    if name != "params"
     for value in BAD[name]
 ]
 # k must also be odd (verify_hp_step), and allowed_parts_C caps its index at r.
@@ -89,8 +86,7 @@ CASES += [
 
 @pytest.mark.parametrize(("fn", "name", "value", "kwargs"), CASES)
 def test_out_of_range_parameter_is_rejected_by_name(fn, name, value, kwargs) -> None:
-    expected = IndexOutOfRange if fn is allowed_parts_C and name == "index" else ParamOutOfRange
-    with pytest.raises(expected) as info:
+    with pytest.raises(ParamOutOfRange) as info:
         fn(**{**kwargs, name: value})
     assert str(info.value).startswith(f"{name} = {value!r} ")
 
