@@ -21,7 +21,7 @@ import sys
 from typing import Callable, Iterator, TextIO
 
 from .context import RunContext
-from .errors import DegreeBeyondTruncation, NonDivisible, TruncationTooShort, check_params
+from .errors import NonDivisible, TruncationTooShort, check_params
 from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
 from .partitions import count_C, count_D, count_E, series_E
 from .qseries import eq_up_to
@@ -229,25 +229,25 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
     i_selector = _parse_i(args.i)
     j_values = _parse_range(args.J)
     n = args.N
-    for r in r_values:
-        i_values = list(range(1, r + 1)) if i_selector is None else i_selector
-        for i in i_values:
-            for J in j_values:
-                check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
+    cells = [
+        (r, i, J)
+        for r in r_values
+        for i in (range(1, r + 1) if i_selector is None else i_selector)
+        for J in j_values
+    ]
+    for r, i, J in cells:
+        check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
     ctx = RunContext()  # one per run: every cell shares its series, sweeps and splits
-    for r in r_values:
-        i_values = list(range(1, r + 1)) if i_selector is None else i_selector
-        for i in i_values:
-            for J in j_values:
-                yield verify_main(r, i, J, n, ctx=ctx)
-                if args.lemmas:
-                    ell = r - i + 1
-                    yield verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
-                    for d in (J + 1, J + 2):
-                        yield verify_hp_expansion(r, i, J, d, n, ctx=ctx)
-                        yield verify_c_expansion(r, ell, J, d, n, ctx=ctx)
-                    yield verify_mn_tables(r, i, J, J + 3, n)
-                    yield verify_limits(r, i, J, n, ctx=ctx)
+    for r, i, J in cells:
+        yield verify_main(r, i, J, n, ctx=ctx)
+        if args.lemmas:
+            ell = r - i + 1
+            yield verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
+            for d in (J + 1, J + 2):
+                yield verify_hp_expansion(r, i, J, d, n, ctx=ctx)
+                yield verify_c_expansion(r, ell, J, d, n, ctx=ctx)
+            yield verify_mn_tables(r, i, J, J + 3, n)
+            yield verify_limits(r, i, J, n, ctx=ctx)
 
 
 def _cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
@@ -297,7 +297,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except NonDivisible as exc:
         _warn(f"arithmetic error: {exc}")
         code = EXIT_ARITHMETIC
-    except (TruncationTooShort, DegreeBeyondTruncation) as exc:
+    except TruncationTooShort as exc:
         _warn(f"truncation error: {exc}")
         code = EXIT_ARITHMETIC
     except ValueError as exc:

@@ -24,10 +24,6 @@ class ParamOutOfRange(ValueError):
     """A parameter lies outside the range the identities are stated for."""
 
 
-class DegreeBeyondTruncation(ValueError):
-    """A graded dimension beyond the ideal's truncation degree was requested."""
-
-
 # The smallest value of each parameter, and whether r is also its largest.
 _RULES: dict[str, tuple[int, bool]] = {
     "r": (2, False),

@@ -12,10 +12,9 @@ a monomial ideal, truncated at degree N:
   "Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).  The
   colon and the sum change at most the generators that contain f, so each
   step keeps the generators canonical without re-minimalizing them.  It
-  runs on packed generators, the plain tuples (weight, exps), and keeps its
-  memo in the run context (`RunContext.splits`), keyed by the ambient
-  ring's min_var, the generators and the budget, so the cells of one run
-  share their sub-problems.
+  keeps its memo in the run context (`RunContext.splits`), keyed by the
+  ambient ring's min_var, the sorted tuple of `Monomial` generators and the
+  budget, so the cells of one run share their sub-problems.
 
 Both engines keep their own stack, so neither is bounded by the
 interpreter's recursion limit.
@@ -32,7 +31,7 @@ from functools import lru_cache
 
 from .context import RunContext
 from .errors import check_params
-from .monomial import Monomial, MonomialIdeal, Packed, _add, _colon, _pack, _standard_counts
+from .monomial import Monomial, MonomialIdeal, _add, _colon, _standard_counts
 from .qseries import TruncatedSeries, product_geometric_inverses
 
 
@@ -120,7 +119,7 @@ def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
     return TruncatedSeries(tuple(_standard_counts(ideal, ideal.trunc)))
 
 
-def _pivot_var(gens: tuple[Packed, ...]) -> int | None:
+def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
     """Smallest variable occurring in a generator that is not a single variable.
 
     Single-variable generators only mark killed variables: splitting on one
@@ -138,7 +137,7 @@ def _pivot_var(gens: tuple[Packed, ...]) -> int | None:
 
 
 def _free_series(
-    splits: dict[tuple, tuple[int, ...]], min_var: int, gens: tuple[Packed, ...], budget: int
+    splits: dict[tuple, tuple[int, ...]], min_var: int, gens: tuple[Monomial, ...], budget: int
 ) -> tuple[int, ...]:
     """Series of the quotient by the single variables `gens`, through `budget`.
 
@@ -170,12 +169,12 @@ def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> Truncate
     generators within the smaller budget, which, as a subset of a minimal
     set, is still minimal.
 
-    The input is canonicalized once and packed (see monomial.Packed); every
-    sub-problem is a sorted tuple of packed generators.  Solved sub-problems
-    go to `ctx.splits` under (min_var, generators, budget), so they are
-    shared by every call made with the same context; a call without one
-    gets a fresh context.  The recursion runs on an explicit stack of tasks,
-    so a colon chain of any length fits.
+    The input is canonicalized once; every sub-problem is a sorted tuple of
+    `Monomial` generators, made by the kernels monomial._colon and _add.
+    Solved sub-problems go to `ctx.splits` under (min_var, generators,
+    budget), so they are shared by every call made with the same context; a
+    call without one gets a fresh context.  The recursion runs on an
+    explicit stack of tasks, so a colon chain of any length fits.
     """
     splits = (RunContext() if ctx is None else ctx).splits
     min_var = ideal.min_var
@@ -183,7 +182,7 @@ def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> Truncate
     # A task (gens, budget, None) solves a sub-problem; (gens, budget, pivot)
     # combines its two solved branches.  `solved` holds the series of
     # finished sub-problems, the most recent last.
-    todo = [(_pack(MonomialIdeal.build(ideal.gens, min_var, n).gens), n, None)]
+    todo = [(MonomialIdeal.build(ideal.gens, min_var, n).gens, n, None)]
     solved: list[tuple[int, ...]] = []
     while todo:
         gens, budget, pivot = todo.pop()
@@ -195,7 +194,7 @@ def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> Truncate
             splits[(min_var, gens, budget)] = result = tuple(out)
             solved.append(result)
             continue
-        if gens and not gens[0][0]:
+        if gens and not gens[0].weight:
             solved.append((0,) * (budget + 1))
             continue
         pivot = _pivot_var(gens)

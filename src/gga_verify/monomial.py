@@ -6,22 +6,33 @@ integer.  Ideals live in the ring on x_{min_var}, x_{min_var+1}, ... and are
 kept in canonical form: a minimal generating set, sorted, with generators of
 weight above the truncation discarded since they cannot divide any monomial
 that is still counted.
+
+A monomial is the named tuple (weight, exps) with its weight stored, so the
+builders, `minimalize`, the colon and add kernels and the splitting memo of
+`hilbert.hp_split` all run on one type, in plain tuple order.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DegreeBeyondTruncation, check_params
+from .errors import TruncationTooShort, check_params
+
+Exps = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Sparse exponent vector, stored as ((var, exp), ...) with ascending var."""
+class Monomial(NamedTuple):
+    """A monomial as (weight, exps): exps is ((var, exp), ...) with ascending var.
 
-    exps: tuple[tuple[int, int], ...]
+    The weight is stored, not recomputed, so tuple order sorts by weight and
+    then by exponents: a sorted tuple of monomials is a canonical generator
+    set that sorts, hashes and compares as a plain tuple.
+    """
+
+    weight: int
+    exps: Exps
 
     @classmethod
     def make(cls, exps: Mapping[int, int]) -> Monomial:
@@ -34,28 +45,11 @@ class Monomial:
                 raise ValueError(f"negative exponent {exp} on x_{var}")
             if exp:
                 items.append((var, exp))
-        return cls(tuple(items))
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
-
-    @property
-    def weight(self) -> int:
-        return sum(var * exp for var, exp in self.exps)
-
-    def exponent(self, var: int) -> int:
-        return _exponent(self.exps, var)
+        return cls(sum(var * exp for var, exp in items), tuple(items))
 
     def divides(self, other: Monomial) -> bool:
         """True iff every exponent of self is <= the matching one of other."""
         return _divides(self.exps, other.exps)
-
-    def min_variable(self) -> int | None:
-        return self.exps[0][0] if self.exps else None
-
-    def sort_key(self) -> tuple:
-        return (self.weight, self.exps)
 
     def __str__(self) -> str:
         if not self.exps:
@@ -63,12 +57,6 @@ class Monomial:
         return "*".join(
             f"x{var}^{exp}" if exp > 1 else f"x{var}" for var, exp in self.exps
         )
-
-
-UNIT = Monomial(())
-
-
-Exps = tuple[tuple[int, int], ...]
 
 
 def _exponent(exps: Exps, var: int) -> int:
@@ -96,29 +84,14 @@ def _divides(small: Exps, big: Exps) -> bool:
     return True
 
 
-# A packed generator is the plain tuple (weight, exps) of a Monomial.  Tuple
-# order on it is Monomial.sort_key, so a sorted tuple of packed generators is
-# a canonical generator set that sorts without a key function and never
-# recomputes a weight.  hp_split runs on packed generators throughout.
-Packed = tuple[int, Exps]
-
-
-def _pack(gens: Iterable[Monomial]) -> tuple[Packed, ...]:
-    return tuple((g.weight, g.exps) for g in gens)
-
-
-def _unpack(packed: Iterable[Packed]) -> tuple[Monomial, ...]:
-    return tuple(Monomial(exps) for _, exps in packed)
-
-
 def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset generating the same ideal, sorted."""
-    kept: list[Exps] = []
-    for _, exps in sorted(set(_pack(monomials))):
+    kept: list[Monomial] = []
+    for m in sorted(set(monomials)):
         # the pool is sorted by weight, so no later element can divide this one
-        if not any(_divides(k, exps) for k in kept):
-            kept.append(exps)
-    return tuple(Monomial(exps) for exps in kept)
+        if not any(_divides(k.exps, m.exps) for k in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -136,26 +109,27 @@ class MonomialIdeal:
         check_params(n=trunc)
         kept = []
         for g in gens:
-            mv = g.min_variable()
-            if mv is not None and mv < min_var:
-                raise ValueError(f"generator {g} uses x_{mv} below the ambient ring x_{min_var}")
+            if g.exps and g.exps[0][0] < min_var:
+                raise ValueError(
+                    f"generator {g} uses x_{g.exps[0][0]} below the ambient ring x_{min_var}"
+                )
+            weight = sum(var * exp for var, exp in g.exps)
+            if g.weight != weight:
+                raise ValueError(f"generator {g} stores weight {g.weight}, not {weight}")
             if g.weight <= trunc:
                 kept.append(g)
         return cls(minimalize(kept), min_var, trunc)
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].is_unit
-
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        return bool(self.gens) and not self.gens[0].exps
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
-def _colon(gens: tuple[Packed, ...], var: int, trunc: int) -> tuple[Packed, ...]:
-    """(I : x_var) on sorted packed generators, keeping those of weight <= trunc.
+def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:
+    """(I : x_var) on sorted generators, keeping those of weight <= trunc.
 
     Each generator divisible by x_var loses one power of it; the rest stay.
     The changed generators stay pairwise incomparable, since g/x_var | h/x_var
@@ -166,33 +140,34 @@ def _colon(gens: tuple[Packed, ...], var: int, trunc: int) -> tuple[Packed, ...]
     nothing about the others, since a divisor weighs no more than what it
     divides.
     """
-    changed: list[Packed] = []
-    rest: list[Packed] = []
-    for w, exps in gens:
+    changed: list[Monomial] = []
+    rest: list[Monomial] = []
+    for g in gens:
+        w, exps = g
         if _exponent(exps, var):
             if w - var <= trunc:
                 cut = tuple((v, e - (v == var)) for v, e in exps if v != var or e > 1)
-                changed.append((w - var, cut))
+                changed.append(Monomial(w - var, cut))
         elif w <= trunc:
-            rest.append((w, exps))
+            rest.append(g)
     if not changed:
         return tuple(rest)
-    kept = [g for g in rest if not any(_divides(c, g[1]) for _, c in changed)]
+    kept = [g for g in rest if not any(_divides(c, g.exps) for _, c in changed)]
     return tuple(sorted(changed + kept))
 
 
-def _add(gens: tuple[Packed, ...], var: int, trunc: int) -> tuple[Packed, ...]:
-    """I + (x_var) on sorted packed generators.
+def _add(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:
+    """I + (x_var) on sorted generators.
 
     When x_var lies outside I, no generator divides x_var, and x_var divides
     exactly the generators that contain it: those go and x_var comes in.
     When x_var lies in I (I is the unit ideal or has x_var among its
     generators), or weighs more than the truncation, I is unchanged.
     """
-    x = (var, ((var, 1),))
-    if var > trunc or (gens and not gens[0][0]) or x in gens:
+    x = Monomial(var, ((var, 1),))
+    if var > trunc or (gens and not gens[0].weight) or x in gens:
         return gens
-    kept = [g for g in gens if not _exponent(g[1], var)]
+    kept = [g for g in gens if not _exponent(g.exps, var)]
     insort(kept, x)
     return tuple(kept)
 
@@ -201,16 +176,14 @@ def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """The colon ideal (I : x_var), kept canonical without re-minimalizing (see _colon)."""
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    gens = _unpack(_colon(_pack(ideal.gens), var, ideal.trunc))
-    return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
+    return MonomialIdeal(_colon(ideal.gens, var, ideal.trunc), ideal.min_var, ideal.trunc)
 
 
 def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """The enlarged ideal I + (x_var), kept canonical without re-minimalizing (see _add)."""
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    gens = _unpack(_add(_pack(ideal.gens), var, ideal.trunc))
-    return MonomialIdeal(gens, ideal.min_var, ideal.trunc)
+    return MonomialIdeal(_add(ideal.gens, var, ideal.trunc), ideal.min_var, ideal.trunc)
 
 
 def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
@@ -229,7 +202,7 @@ def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
     counts = [0] * (n + 1)
     if ideal.is_unit:
         return counts
-    ending_at: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    ending_at: dict[int, list[Exps]] = {}
     for g in ideal.gens:
         ending_at.setdefault(g.exps[-1][0], []).append(g.exps)
     exps = [0] * (n + 1)
@@ -263,7 +236,5 @@ def standard_count(ideal: MonomialIdeal, weight: int) -> int:
     if weight < 0:
         raise ValueError(f"negative degree {weight}")
     if weight > ideal.trunc:
-        raise DegreeBeyondTruncation(
-            f"degree {weight} beyond ideal truncation {ideal.trunc}"
-        )
+        raise TruncationTooShort(f"degree {weight} beyond ideal truncation {ideal.trunc}")
     return _standard_counts(ideal, weight)[weight]

@@ -105,13 +105,6 @@ class TruncatedSeries:
             raise TruncationTooShort(f"series certified only through {self.trunc}, not {n}")
         return TruncatedSeries(self.coeffs[: n + 1])
 
-    def valuation(self) -> int | None:
-        """Smallest degree with nonzero coefficient, None if all certified ones vanish."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return j
-        return None
-
     def to_json_dict(self) -> dict:
         return {"trunc": self.trunc, "coeffs": [str(c) for c in self.coeffs]}
 
@@ -134,10 +127,6 @@ def series_zero(n: int) -> TruncatedSeries:
 def q_power(w: int, n: int) -> TruncatedSeries:
     """The monomial q^w through degree n (zero series when w > n)."""
     return series_one(n).shift(w)
-
-
-def from_coeffs(coeffs: Iterable[int]) -> TruncatedSeries:
-    return TruncatedSeries(tuple(int(c) for c in coeffs))
 
 
 def product_geometric_inverses(parts: Iterable[int], n: int) -> TruncatedSeries:

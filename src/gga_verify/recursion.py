@@ -122,18 +122,10 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
 class CoeffTable:
     """Expansion coefficients indexed by (j, d), j in 1..r, depth d >= J+1.
 
-    kind "M" anchors the initial conditions at position r - anchor + 1
-    (product side, anchor = ell); kind "N" anchors at position anchor
-    (quotient side, anchor = i).  Entry (j, d) has q-adic valuation at least
-    2*d*(j-1), which is what makes the depth-limited limit checks exact.
+    Entry (j, d) has q-adic valuation at least 2*d*(j-1), which is what
+    makes the depth-limited limit checks exact.
     """
 
-    kind: str
-    r: int
-    J: int
-    anchor: int
-    d_max: int
-    trunc: int
     entries: Mapping[tuple[int, int], TruncatedSeries]
 
     def entry(self, j: int, d: int) -> TruncatedSeries:
@@ -143,7 +135,9 @@ class CoeffTable:
 def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> CoeffTable:
     """Fill the expansion coefficient recurrence from depth J+1 up to d_max.
 
-    Initial conditions at depth J+1, with p the anchor position:
+    kind "M" anchors the initial conditions at position p = r - anchor + 1
+    (product side, anchor = ell); kind "N" anchors at position p = anchor
+    (quotient side, anchor = i).  Initial conditions at depth J+1:
         q^(2(J+1)j - 1) + q^(2(J+1)(j-1))   for j < p,
         q^(2(J+1)(j-1))                     for j = p,
         0                                   for j > p.
@@ -178,7 +172,7 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
                 step = step + prefix[r - j].shift(2 * (d + 1) * j - 1)
             entries[(j, d + 1)] = step
 
-    return CoeffTable(kind, r, J, anchor, d_max, n, entries)
+    return CoeffTable(entries)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from gga_verify.monomial import Monomial, MonomialIdeal
+from gga_verify.qseries import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -181,23 +182,42 @@ def monomial_from_parts(parts: Iterable[int]) -> Monomial:
 
 def mul_var(m: Monomial, var: int) -> Monomial:
     """m * x_var."""
-    return Monomial.make(dict(m.exps) | {var: m.exponent(var) + 1})
+    exps = dict(m.exps)
+    return Monomial.make(exps | {var: exps.get(var, 0) + 1})
 
 
 def div_var(m: Monomial, var: int) -> Monomial:
     """m / x_var, for an m that x_var divides."""
-    e = m.exponent(var)
+    e = dict(m.exps).get(var, 0)
     if e < 1:
         raise ValueError(f"{m} is not divisible by x_{var}")
     return Monomial.make(dict(m.exps) | {var: e - 1})
+
+
+def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
+    """True iff some generator of the ideal divides m."""
+    return any(g.divides(m) for g in ideal.gens)
 
 
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
     """All standard monomials of the given weight: every partition, filtered."""
     for parts in ascending_partitions(weight, ideal.min_var):
         m = monomial_from_parts(parts)
-        if not ideal.contains(m):
+        if not contains(ideal, m):
             yield m
+
+
+def from_coeffs(coeffs: Iterable[int]) -> TruncatedSeries:
+    """The series with the given coefficients, each converted by int."""
+    return TruncatedSeries(tuple(int(c) for c in coeffs))
+
+
+def valuation(series: TruncatedSeries) -> int | None:
+    """Smallest degree with nonzero coefficient, None if all certified ones vanish."""
+    for j, c in enumerate(series.coeffs):
+        if c:
+            return j
+    return None
 
 
 def restricted_partition_count(n: int, allowed: Sequence[int]) -> int:

@@ -35,7 +35,7 @@ from gga_verify.recursion import (
     verify_mn_tables,
 )
 
-from oracles import restricted_partition_count
+from oracles import restricted_partition_count, valuation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,7 +173,7 @@ def test_criterion_8_limit_shadows(acceptance_log) -> None:
         for r in (2, 3):
             for d in range(11):
                 tail = hp_notation(2 * d + 3, None, r, n) - series_one(n)
-                v = tail.valuation()
+                v = valuation(tail)
                 assert v is not None and v >= 2 * d + 3, (r, d, v)
         for r in (2, 3):
             for i in range(1, r + 1):
@@ -182,7 +182,7 @@ def test_criterion_8_limit_shadows(acceptance_log) -> None:
                     assert report.passed, report.to_json_dict()
         # the vanishing clause, asserted directly on a table as well
         table = coeff_table("N", 2, 0, 2, n // 2 + 1, n)
-        assert table.entry(2, n // 2 + 1).valuation() is None
+        assert valuation(table.entry(2, n // 2 + 1)) is None
 
 
 def test_criterion_9_classical_spot_values(acceptance_log) -> None:

@@ -23,7 +23,7 @@ from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, min
 from gga_verify.partitions import count_E, series_E
 from gga_verify.qseries import eq_up_to, product_geometric_inverses, series_one
 
-from oracles import classical_partition_count
+from oracles import classical_partition_count, valuation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +97,9 @@ def test_builders_respect_weight_truncation() -> None:
         build_L_k_ell(3, 2, 4, 17),
     ]:
         assert all(g.weight <= 17 for g in ideal.gens)
+        for g in ideal.gens:
+            assert isinstance(g, Monomial)
+            assert g.weight == sum(v * e for v, e in g.exps)
 
 
 def test_build_L_k_contains_pure_power_at_n1_zero() -> None:
@@ -329,7 +332,7 @@ def test_hp_tail_growth() -> None:
     for r in (2, 3):
         for d in range(4):
             tail = hp_notation(2 * d + 3, None, r, n) - series_one(n)
-            v = tail.valuation()
+            v = valuation(tail)
             assert v is not None and v >= 2 * d + 3
 
 

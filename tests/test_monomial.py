@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gga_verify.errors import DegreeBeyondTruncation
+from gga_verify.errors import TruncationTooShort
 from gga_verify.monomial import (
-    UNIT,
     Monomial,
     MonomialIdeal,
     add_var,
@@ -18,12 +17,16 @@ from gga_verify.monomial import (
 )
 from oracles import (
     classical_partition_count,
+    contains,
     div_var,
     enumerate_partitions,
     monomial_from_parts,
     mul_var,
     standard_monomials,
 )
+
+
+UNIT = Monomial.make({})
 
 
 def m(**exps: int) -> Monomial:
@@ -85,7 +88,7 @@ def test_minimalize_idempotent_and_generation_preserving() -> None:
         for _ in range(25):
             probe = _random_monomial(rng)
             before = any(g.divides(probe) for g in gens)
-            after = ideal_before.contains(probe)
+            after = contains(ideal_before, probe)
             assert before == after
 
 
@@ -98,6 +101,12 @@ def test_ideal_build_truncates_and_minimalizes() -> None:
 def test_ideal_build_rejects_low_variables() -> None:
     with pytest.raises(ValueError):
         MonomialIdeal.build([m(x1=1)], 3, 10)
+
+
+def test_ideal_build_rejects_a_wrong_stored_weight() -> None:
+    # x1^2 stored with weight 1: hp_split would return a wrong series for it
+    with pytest.raises(ValueError, match="stores weight 1"):
+        MonomialIdeal.build([Monomial(1, ((1, 2),))], 1, 10)
 
 
 def test_colon_var_examples() -> None:
@@ -123,7 +132,7 @@ def test_colon_var_is_membership_quotient() -> None:
         var = rng.randint(1, 4)
         quotient = colon_var(ideal, var)
         for g in probes:
-            assert quotient.contains(g) == ideal.contains(mul_var(g, var))
+            assert contains(quotient, g) == contains(ideal, mul_var(g, var))
 
 
 def test_add_var_examples() -> None:
@@ -151,7 +160,7 @@ def test_standard_count_examples() -> None:
 
 def test_standard_count_degree_guard() -> None:
     ideal = MonomialIdeal.build([], 1, 5)
-    with pytest.raises(DegreeBeyondTruncation):
+    with pytest.raises(TruncationTooShort):
         standard_count(ideal, 6)
 
 
@@ -206,7 +215,13 @@ def test_walk_counts_match_the_filter_oracle(ideal: MonomialIdeal) -> None:
 def test_colon_and_add_equal_a_fresh_build(ideal: MonomialIdeal) -> None:
     # every variable up to one that weighs more than the truncation
     for var in range(ideal.min_var, ideal.trunc + 2):
-        divided = [div_var(g, var) if g.exponent(var) else g for g in ideal.gens]
-        assert colon_var(ideal, var) == MonomialIdeal.build(divided, ideal.min_var, ideal.trunc)
+        divided = [div_var(g, var) if dict(g.exps).get(var) else g for g in ideal.gens]
+        quotient = colon_var(ideal, var)
+        assert quotient == MonomialIdeal.build(divided, ideal.min_var, ideal.trunc)
         enlarged = list(ideal.gens) + [Monomial.make({var: 1})]
-        assert add_var(ideal, var) == MonomialIdeal.build(enlarged, ideal.min_var, ideal.trunc)
+        bigger = add_var(ideal, var)
+        assert bigger == MonomialIdeal.build(enlarged, ideal.min_var, ideal.trunc)
+        # the kernels build generators themselves: each must carry its true weight
+        for g in quotient.gens + bigger.gens:
+            assert isinstance(g, Monomial)
+            assert g.weight == sum(v * e for v, e in g.exps)

@@ -12,7 +12,6 @@ from gga_verify.qseries import (
     TruncatedSeries,
     div_sparse,
     eq_up_to,
-    from_coeffs,
     mul_sparse,
     pentagonal_terms,
     product_geometric_inverses,
@@ -22,7 +21,7 @@ from gga_verify.qseries import (
     triple_product_terms,
 )
 
-from oracles import restricted_partition_count
+from oracles import from_coeffs, restricted_partition_count, valuation
 
 
 def _random_series(rng: random.Random, trunc: int) -> TruncatedSeries:
@@ -233,9 +232,9 @@ def test_eq_up_to() -> None:
 
 
 def test_valuation() -> None:
-    assert from_coeffs([0, 0, 5, 1]).valuation() == 2
-    assert from_coeffs([0, 0, 0]).valuation() is None
-    assert from_coeffs([7]).valuation() == 0
+    assert valuation(from_coeffs([0, 0, 5, 1])) == 2
+    assert valuation(from_coeffs([0, 0, 0])) is None
+    assert valuation(from_coeffs([7])) == 0
 
 
 def test_q_power_and_zero() -> None:
