@@ -47,10 +47,6 @@ class Monomial(NamedTuple):
                 items.append((var, exp))
         return cls(sum(var * exp for var, exp in items), tuple(items))
 
-    def divides(self, other: Monomial) -> bool:
-        """True iff every exponent of self is <= the matching one of other."""
-        return _divides(self.exps, other.exps)
-
     def __str__(self) -> str:
         if not self.exps:
             return "1"

@@ -9,26 +9,28 @@ Three families of partitions of n are counted here:
 * generalized gap side: same difference conditions, all parts greater than
   2J, and at most i-1 parts equal to 2J+1 or 2J+2.
 
-The generalized gap side is one forward dynamic-programming pass over the
-weight (`series_E`).  `count_D` reads the difference conditions literally on
-every partition of n, listed smallest part first by one iterative generator.
-One sweep per weight records, for each partition, the smallest r whose
-conditions it meets and its number of parts <= 2; that histogram answers
-every (r, i) cell, and a `RunContext` keeps it for the rest of the run.  The
-enumeration oracles, the per-cell filter and the pruned gap-side walk
-included, live in `tests/oracles.py`.  The congruence side is a plain product
-expansion.  The sides run on unrelated code paths on purpose, so that
-agreement is evidence rather than tautology.
+The generalized gap side is one pass over the part values in Andrews'
+frequency form (`series_E`).  `count_D` reads the difference conditions
+literally on every partition of n, listed smallest part first by one
+iterative generator.  One sweep per weight records, for each partition, the
+smallest r whose conditions it meets and its number of parts <= 2; that
+histogram answers every (r, i) cell, and a `RunContext` keeps it for the
+rest of the run.  The oracles (enumerators, the per-cell filter, the pruned
+gap-side walk and the forward pass over the weight) live in
+`tests/oracles.py`.  The congruence side is a plain product expansion.  The
+sides run on unrelated code paths on purpose, so that agreement is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
-from .qseries import TruncatedSeries, product_geometric_inverses
+from .qseries import TruncatedSeries, product_geometric_inverses, series_one, series_zero
 
 
 def _ascending_partitions(n: int, min_part: int) -> Iterator[list[int]]:
@@ -158,31 +160,27 @@ def count_E(r: int, i: int, J: int, n: int) -> int:
 def series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
     """Generating series of the generalized gap-side counts through degree n.
 
-    One forward pass over the weight builds the admissible partitions
-    smallest part first, with no recursion.  `layers[w]` counts those of
-    weight w by state: the last r-1 parts and the remaining budget of parts
-    <= 2J+2.  Admissibility is prefix-closed, so coefficient w is the sum of
-    layer w.  After a part above 2J+2 every later part is above it too, so
-    the budget drops to 0 and equal states merge.
+    Andrews' frequency form (G. E. Andrews, "A generalization of the
+    Göllnitz-Gordon partition theorems", Proc. AMS 18 (1967) 945-952): with
+    f_v the multiplicity of the part v, the conditions hold exactly when
+    f_v <= 1 for odd v, f_{2j} + f_{2j+1} + f_{2j+2} <= r-1 for every j,
+    every part is above 2J, and f_{2J+1} + f_{2J+2} <= i-1.  Proof: r parts
+    in a row fail exactly when they fit in one window {2j, 2j+1, 2j+2}, for
+    the top one exceeds the bottom one by at most 1 if it is odd and 2 if
+    it is even.  One pass takes the pairs (2j+1, 2j+2) for j = J, J+1, ...;
+    `ends[e]` counts the partitions with parts <= 2j whose part 2j occurs e
+    times.  A virtual multiplicity r-i of 2J turns the window at j = J into
+    the i-1 cap.  The new state b takes 2j+2 b times, and 2j+1 once or not,
+    after every e the window allows: a prefix sum over e.
     """
     check_params(r=r, i=i, J=J, n=n)
-    width, top = r - 1, 2 * J + 2
-    layers: list[dict | None] = [{((), i - 1): 1}] + [{} for _ in range(n)]
-    coeffs = []
-    for w in range(n + 1):
-        layer, layers[w] = layers[w], None
-        coeffs.append(sum(layer.values()))
-        for (tail, budget), ways in layer.items():
-            anchor = tail[0] if len(tail) == width else None
-            for v in range(tail[-1] if tail else top - 1, n - w + 1):
-                if v % 2 == 1 and tail and v == tail[-1]:
-                    continue
-                if anchor is not None and v - anchor < (2 if v % 2 == 1 else 3):
-                    continue
-                if v <= top and not budget:
-                    continue
-                key = ((tail + (v,))[-width:], budget - 1 if v <= top else 0)
-                target = layers[w + v]
-                target[key] = target.get(key, 0) + ways
-    return TruncatedSeries(tuple(coeffs))
-
+    cap, zero = r - 1, series_zero(n)
+    ends = [zero] * (cap + 1)
+    ends[cap + 1 - i] = series_one(n)
+    for odd in range(2 * J + 1, n + 1, 2):
+        below = list(accumulate(ends, initial=zero))
+        ends = [
+            (below[cap + 1 - b] + below[cap - b].shift(odd)).shift(b * (odd + 1))
+            for b in range(cap + 1)
+        ]
+    return sum(ends, zero)

@@ -4,9 +4,10 @@ Everything here is deliberately written against different algorithms than the
 package: recursive enumeration instead of the package's iterative generator,
 the difference conditions tested cell by cell instead of the package's one
 sweep for the least r of every partition, a pruned depth-first walk over
-whole partitions instead of the package's forward dynamic programme for the
-gap side, a filter over every partition of each weight instead of the
-package's walk over the standard monomials only, the classical
+whole partitions and a forward pass over the weight that appends one part at
+a time instead of the package's pass over part values in Andrews' frequency
+form for the gap side, a filter over every partition of each weight instead
+of the package's walk over the standard monomials only, the classical
 pentagonal-number recurrence instead of product expansion, and literal
 restatements of generator families.  Agreement between these and the
 package is evidence, not circularity.
@@ -175,6 +176,38 @@ def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
     return count(n, i - 1)
 
 
+def forward_dp_series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
+    """Generalized gap-side series through degree n, by a forward pass over the weight.
+
+    The difference conditions are read one appended part at a time, not in
+    Andrews' frequency form: the admissible partitions are built smallest
+    part first, and `layers[w]` counts those of weight w by state, the last
+    r-1 parts and the remaining budget of parts <= 2J+2.  Admissibility is
+    prefix-closed, so coefficient w is the sum of layer w.  After a part
+    above 2J+2 every later part is above it too, so the budget drops to 0
+    and equal states merge.
+    """
+    width, top = r - 1, 2 * J + 2
+    layers: list[dict | None] = [{((), i - 1): 1}] + [{} for _ in range(n)]
+    coeffs = []
+    for w in range(n + 1):
+        layer, layers[w] = layers[w], None
+        coeffs.append(sum(layer.values()))
+        for (tail, budget), ways in layer.items():
+            anchor = tail[0] if len(tail) == width else None
+            for v in range(tail[-1] if tail else top - 1, n - w + 1):
+                if v % 2 == 1 and tail and v == tail[-1]:
+                    continue
+                if anchor is not None and v - anchor < (2 if v % 2 == 1 else 3):
+                    continue
+                if v <= top and not budget:
+                    continue
+                key = ((tail + (v,))[-width:], budget - 1 if v <= top else 0)
+                target = layers[w + v]
+                target[key] = target.get(key, 0) + ways
+    return TruncatedSeries(tuple(coeffs))
+
+
 def monomial_from_parts(parts: Iterable[int]) -> Monomial:
     """The monomial whose exponent of x_k is the multiplicity of part k."""
     return Monomial.make(Counter(parts))
@@ -194,9 +227,15 @@ def div_var(m: Monomial, var: int) -> Monomial:
     return Monomial.make(dict(m.exps) | {var: e - 1})
 
 
+def divides(small: Monomial, big: Monomial) -> bool:
+    """True iff every exponent of `small` is <= the matching one of `big`."""
+    big_exps = dict(big.exps)
+    return all(big_exps.get(var, 0) >= exp for var, exp in dict(small.exps).items())
+
+
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """True iff some generator of the ideal divides m."""
-    return any(g.divides(m) for g in ideal.gens)
+    return any(divides(g, m) for g in ideal.gens)
 
 
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:

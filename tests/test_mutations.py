@@ -1,0 +1,79 @@
+"""Committed mutants: each one-token transcription bug must be caught.
+
+A mutant replaces one token of a side's source, is compiled into that
+side's module namespace, and is patched in where the verifiers bind it.
+The verifier must then report a failure that names the expected clause
+and a witness at a low degree, and the CLI must exit 1 (an identity
+mismatched), never 3 or 4.  See DeMillo, Lipton and Sayward, "Hints on
+test data selection", IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import inspect
+import io
+import json
+
+import pytest
+
+from gga_verify import cli, partitions, recursion
+from gga_verify.context import RunContext
+
+VERIFY_ARGV = ["verify", "--r", "2..4", "--i", "all", "--J", "0..1", "--N", "20"]
+CELLS = [(r, i, J) for r in range(2, 5) for i in range(1, r + 1) for J in (0, 1)]
+
+# (name, token in the source of partitions.series_E, its replacement, clause)
+GAP_SIDE_MUTANTS = [
+    ("i-1 cap dropped", "ends[cap + 1 - i]", "ends[0]", "product_vs_gap"),
+    ("window cap r, not r-1", "cap, zero = r - 1,", "cap, zero = r,", "product_vs_gap"),
+    ("odd part shifted by 2", ".shift(odd)", ".shift(odd + 2)", "product_vs_gap"),
+    ("first pair skipped", "range(2 * J + 1,", "range(2 * J + 3,", "product_vs_gap"),
+    ("odd part outside the window", "below[cap - b]", "below[cap + 1 - b]", "product_vs_gap"),
+]
+
+
+def mutant(function, token: str, replacement: str):
+    """`function` recompiled in its own module's namespace with one token replaced."""
+    source = inspect.getsource(function)
+    assert source.count(token) == 1, token
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(token, replacement), namespace)
+    return namespace[function.__name__]
+
+
+def run_verify() -> tuple[int, list[dict]]:
+    out = io.StringIO()
+    code = cli.run(VERIFY_ARGV, stdout=out)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_unmutated_source_recompiles_to_a_passing_gap_side(monkeypatch) -> None:
+    # the harness alone changes nothing: the same source, recompiled, passes
+    same = mutant(partitions.series_E, "return sum(ends, zero)", "return sum(ends, zero)")
+    assert all(same(r, i, J, 20) == partitions.series_E(r, i, J, 20) for r, i, J in CELLS)
+    monkeypatch.setattr(recursion, "series_E", same)
+    code, reports = run_verify()
+    assert code == 0 and len(reports) == len(CELLS)
+    assert all(report["pass"] for report in reports)
+
+
+@pytest.mark.parametrize(
+    "token, replacement, clause",
+    [m[1:] for m in GAP_SIDE_MUTANTS],
+    ids=[m[0] for m in GAP_SIDE_MUTANTS],
+)
+def test_gap_side_mutant_is_caught(monkeypatch, token: str, replacement: str, clause: str) -> None:
+    monkeypatch.setattr(recursion, "series_E", mutant(partitions.series_E, token, replacement))
+    ctx = RunContext()
+    failed = [
+        report
+        for report in (recursion.verify_main(r, i, J, 20, ctx=ctx) for r, i, J in CELLS)
+        if not report.passed
+    ]
+    assert failed
+    for report in failed:
+        assert report.params["clause"] == clause
+        assert report.first_mismatch.degree <= 20
+    code, reports = run_verify()
+    assert code == 1
+    assert sum(not report["pass"] for report in reports) == len(failed)

@@ -24,6 +24,7 @@ from oracles import (
     classical_partition_count,
     descending_partitions,
     enumerate_partitions,
+    forward_dp_series_E,
     gap_conditions_descending,
     gap_conditions_ok,
     pruned_count_E,
@@ -258,6 +259,9 @@ def test_series_E_matches_pruned_walk_grid() -> None:
             for J in range(3):
                 walk = tuple(pruned_count_E(r, i, J, m) for m in range(31))
                 assert series_E(r, i, J, 30).coeffs == walk, (r, i, J)
+                if r <= 5:
+                    # the forward pass over the weight reaches further than the walk
+                    assert series_E(r, i, J, 50) == forward_dp_series_E(r, i, J, 50), (r, i, J)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -272,3 +276,7 @@ def test_series_E_reaches_level_zero_identity_at_200() -> None:
     # far beyond the pruned walk: at J = 0 the gap side is the product of index r - i + 1
     for i in (1, 2):
         assert series_E(2, i, 0, 200) == c_series(2, 3 - i, 200), i
+    for i in range(1, 5):
+        assert series_E(4, i, 0, 300) == c_series(4, 5 - i, 300), i
+    # level J = 2 against the cascade at index (r - 1) J + r - i + 1
+    assert series_E(4, 2, 2, 300) == c_series(4, 9, 300)
