@@ -10,6 +10,7 @@ certified-range violation inside the engine, 4 any other internal error
 `internal error: <Type>: <message>` line on stderr when stderr is open.
 `--out` is written to a temporary file beside the target and moved into
 place only on exit 0 or 1, so a failed run leaves the target as it was.
+Each handler imports the engines it runs, so a subcommand loads only its own.
 """
 
 from __future__ import annotations
@@ -18,23 +19,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
-from .context import RunContext
 from .errors import NonDivisible, TruncationTooShort, check_params
-from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
-from .partitions import count_C, count_D, count_E, series_E
-from .qseries import eq_up_to
-from .recursion import (
-    CheckReport,
-    c_series,
-    verify_c_expansion,
-    verify_hp_expansion,
-    verify_hp_step,
-    verify_limits,
-    verify_main,
-    verify_mn_tables,
-)
+
+if TYPE_CHECKING:
+    from .recursion import CheckReport
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -158,8 +148,12 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
     _check_flags(args, f"series {args.kind}", _SERIES_FLAGS[args.kind])
     if args.kind == "c":
+        from .recursion import c_series
+
         series = c_series(args.r, args.index, args.N)
     else:
+        from .partitions import series_E
+
         series = series_E(args.r, args.i, args.J, args.N)
     if args.format == "table":
         for j, coeff in enumerate(series.coeffs):
@@ -170,6 +164,8 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    from .partitions import count_C, count_D, count_E
+
     _check_flags(args, f"count {args.kind}", _COUNT_FLAGS[args.kind])
     if args.kind == "c":
         value = count_C(args.r, args.i, args.n)
@@ -191,6 +187,9 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
+    from .qseries import eq_up_to
+
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
     _check_flags(args, f"family {args.family}", _HILBERT_FLAGS[args.family])
     if args.family == "LriJ":
@@ -225,6 +224,9 @@ def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
+    from . import recursion
+    from .context import RunContext
+
     r_values = _parse_range(args.r)
     i_selector = _parse_i(args.i)
     j_values = _parse_range(args.J)
@@ -239,15 +241,15 @@ def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
         check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
     ctx = RunContext()  # one per run: every cell shares its series, sweeps and splits
     for r, i, J in cells:
-        yield verify_main(r, i, J, n, ctx=ctx)
+        yield recursion.verify_main(r, i, J, n, ctx=ctx)
         if args.lemmas:
             ell = r - i + 1
-            yield verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
+            yield recursion.verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
             for d in (J + 1, J + 2):
-                yield verify_hp_expansion(r, i, J, d, n, ctx=ctx)
-                yield verify_c_expansion(r, ell, J, d, n, ctx=ctx)
-            yield verify_mn_tables(r, i, J, J + 3, n)
-            yield verify_limits(r, i, J, n, ctx=ctx)
+                yield recursion.verify_hp_expansion(r, i, J, d, n, ctx=ctx)
+                yield recursion.verify_c_expansion(r, ell, J, d, n, ctx=ctx)
+            yield recursion.verify_mn_tables(r, i, J, J + 3, n)
+            yield recursion.verify_limits(r, i, J, n, ctx=ctx)
 
 
 def _cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:

@@ -3,20 +3,18 @@
 `cli._verify_reports` makes one `RunContext` per run and passes it to every
 verifier.  A verifier called without a context makes one for that call, so
 no result depends on call history and no cache outlives the run that filled
-it.  The context holds three dicts: the product series, the level-zero
-sweep and the quotient side's splitting memo.
+it.  The context is a plain class holding three dicts: the product series,
+the level-zero sweep and the quotient side's splitting memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .qseries import TruncatedSeries
 
 
-@dataclass
 class RunContext:
     """Results shared across cells, each dict keyed by all its value depends on.
 
@@ -32,6 +30,7 @@ class RunContext:
                 smaller budget is a prefix.
     """
 
-    products: dict[tuple[int, int, int], TruncatedSeries] = field(default_factory=dict)
-    level_zero: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
-    splits: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.products: dict[tuple[int, int, int], TruncatedSeries] = {}
+        self.level_zero: dict[int, dict[tuple[int, int], int]] = {}
+        self.splits: dict[tuple, tuple[int, ...]] = {}

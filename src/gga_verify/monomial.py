@@ -9,13 +9,13 @@ that is still counted.
 
 A monomial is the named tuple (weight, exps) with its weight stored, so the
 builders, `minimalize`, the colon and add kernels and the splitting memo of
-`hilbert.hp_split` all run on one type, in plain tuple order.
+`hilbert.hp_split` all run on one type, in plain tuple order; an ideal is the
+named tuple (gens, min_var, trunc), made canonical by `MonomialIdeal.build`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import TruncationTooShort, check_params
@@ -90,8 +90,7 @@ def minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Canonical monomial ideal: minimal sorted generators, ambient min_var, trunc."""
 
     gens: tuple[Monomial, ...]

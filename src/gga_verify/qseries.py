@@ -10,7 +10,6 @@ certified range by w rather than padding with unspecified values.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidPart, NonDivisible, TruncationTooShort, check_params
@@ -24,19 +23,37 @@ class Mismatch(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients of q^0 .. q^trunc, exact; immutable and hashable.
+    """Coefficients of q^0 .. q^trunc, exact; immutable and hashable by value.
 
     coeffs[j] is the coefficient of q^j, so trunc == len(coeffs) - 1 by
-    construction.
+    construction.  A series equals only another series with the same
+    coefficients, never their bare tuple.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("a series certifies at least the constant term")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TruncatedSeries is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TruncatedSeries is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     @property
     def trunc(self) -> int:

@@ -17,8 +17,8 @@ Both the product side and the quotient side satisfy the same expansion
 recurrence with coefficient tables M (product) and N (quotient); the tables
 agree entrywise when the anchors are related by ell = r - i + 1, and their
 j = 1 entries stabilize q-adically to the two sides of the main identity.
-Every verifier returns a structured report: a failing identity at desk scale
-means a transcription bug, and diagnosis needs the witness coefficient.
+Every verifier returns a `CheckReport` named tuple: a failing identity at desk
+scale means a transcription bug, and diagnosis needs the witness coefficient.
 
 The cells of one run share work through a `RunContext`: `c_series` keeps
 each product-side series under (r, index, n), so the expansion terms and the
@@ -30,8 +30,7 @@ without it makes a fresh context for that call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
@@ -118,8 +117,7 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
     return row[i_stop - 1].truncated(n)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Expansion coefficients indexed by (j, d), j in 1..r, depth d >= J+1.
 
     Entry (j, d) has q-adic valuation at least 2*d*(j-1), which is what
@@ -175,8 +173,7 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
     return CoeffTable(entries)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check, with the witness on failure."""
 
     check: str

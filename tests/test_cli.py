@@ -225,7 +225,7 @@ def test_table_format() -> None:
 
 def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     failing = CheckReport("main", {"r": 2}, False, None, 8)
-    monkeypatch.setattr(cli, "verify_main", lambda *a, **kw: failing)
+    monkeypatch.setattr(recursion, "verify_main", lambda *a, **kw: failing)
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8")
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -235,7 +235,7 @@ def test_exit_three_on_divisibility_failure(monkeypatch: pytest.MonkeyPatch) -> 
     def explode(*args: object) -> TruncatedSeries:
         raise NonDivisible("synthetic")
 
-    monkeypatch.setattr(cli, "c_series", explode)
+    monkeypatch.setattr(recursion, "c_series", explode)
     code, _ = run_cli("series", "c", "--r", "2", "--index", "3", "--N", "6")
     assert code == 3
 
@@ -324,7 +324,7 @@ def test_out_flag_replaces_old_file_on_mismatch(monkeypatch: pytest.MonkeyPatch,
     target = tmp_path / "reports.jsonl"
     target.write_text("old content\n")
     failing = CheckReport("main", {"r": 2}, False, None, 8)
-    monkeypatch.setattr(cli, "verify_main", lambda *a, **kw: failing)
+    monkeypatch.setattr(recursion, "verify_main", lambda *a, **kw: failing)
     code, _ = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
     assert code == 1
     assert json.loads(target.read_text())["pass"] is False

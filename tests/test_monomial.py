@@ -105,6 +105,12 @@ def test_ideal_build_truncates_and_minimalizes() -> None:
     assert ideal.trunc == 10
 
 
+def test_ideal_build_is_a_classmethod() -> None:
+    # bench/tracer.py rewraps MonomialIdeal.build through the class __dict__
+    assert isinstance(MonomialIdeal.__dict__["build"], classmethod)
+    assert MonomialIdeal.build([m(x2=1)], 1, 5) == MonomialIdeal((m(x2=1),), 1, 5)
+
+
 def test_ideal_build_rejects_low_variables() -> None:
     with pytest.raises(ValueError):
         MonomialIdeal.build([m(x1=1)], 3, 10)

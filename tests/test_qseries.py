@@ -39,6 +39,22 @@ def test_series_one_is_multiplicative_identity() -> None:
     assert (series_one(2) * s).coeffs == s.coeffs
 
 
+def test_series_is_an_immutable_value() -> None:
+    s = from_coeffs([1, 2, 3])
+    with pytest.raises(AttributeError):
+        s.coeffs = (4, 5, 6)
+    with pytest.raises(AttributeError):
+        del s.coeffs
+    assert s.coeffs == (1, 2, 3)
+    twin = from_coeffs([1, 2, 3])
+    assert twin == s and hash(twin) == hash(s) and len({s, twin}) == 1
+    assert s != from_coeffs([1, 2]) and s != from_coeffs([1, 2, 4])
+    assert s != (1, 2, 3) and (1, 2, 3) != s
+    assert repr(s) == "TruncatedSeries(coeffs=(1, 2, 3))"
+    with pytest.raises(ValueError, match="constant term"):
+        TruncatedSeries(())
+
+
 def test_add_sub_coefficientwise() -> None:
     assert (from_coeffs([1, 2]) + from_coeffs([0, 3])).coeffs == (1, 5)
     assert (from_coeffs([1, 1]) - from_coeffs([1, 1])).coeffs == (0, 0)

@@ -294,6 +294,14 @@ def test_report_json_failure_shape() -> None:
     assert data["first_mismatch"] == {"degree": 3, "lhs": "5", "rhs": "7"}
 
 
+def test_report_by_keyword_equals_report_by_position() -> None:
+    by_keyword = CheckReport(
+        check="demo", params={"r": 2}, passed=False, first_mismatch=Mismatch(3, 5, 7), truncation=9
+    )
+    assert by_keyword == CheckReport("demo", {"r": 2}, False, Mismatch(3, 5, 7), 9)
+    assert by_keyword.passed is False and by_keyword.truncation == 9
+
+
 def test_mismatch_reporting_names_degree_and_values() -> None:
     ok, mismatch = eq_up_to(from_coeffs([1, 2, 3]), from_coeffs([1, 2, 4]), 2)
     assert not ok
