@@ -169,20 +169,26 @@ def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> Truncate
     generators within the smaller budget, which, as a subset of a minimal
     set, is still minimal.
 
-    The input is canonicalized once; every sub-problem is a sorted tuple of
+    The input is canonicalized once, so a hand-built non-minimal ideal
+    cannot stall the recursion; every sub-problem is a sorted tuple of
     `Monomial` generators, made by the kernels monomial._colon and _add.
     Solved sub-problems go to `ctx.splits` under (min_var, generators,
     budget), so they are shared by every call made with the same context; a
     call without one gets a fresh context.  The recursion runs on an
     explicit stack of tasks, so a colon chain of any length fits.
     """
-    splits = (RunContext() if ctx is None else ctx).splits
+    canonical = MonomialIdeal.build(ideal.gens, ideal.min_var, ideal.trunc)
+    return _split_canonical(canonical, (RunContext() if ctx is None else ctx).splits)
+
+
+def _split_canonical(ideal: MonomialIdeal, splits: dict[tuple, tuple[int, ...]]) -> TruncatedSeries:
+    """The engine of hp_split, on an ideal whose generators are already canonical."""
     min_var = ideal.min_var
     n = ideal.trunc
     # A task (gens, budget, None) solves a sub-problem; (gens, budget, pivot)
     # combines its two solved branches.  `solved` holds the series of
     # finished sub-problems, the most recent last.
-    todo = [(MonomialIdeal.build(ideal.gens, min_var, n).gens, n, None)]
+    todo = [(ideal.gens, n, None)]
     solved: list[tuple[int, ...]] = []
     while todo:
         gens, budget, pivot = todo.pop()
@@ -228,8 +234,11 @@ def hp_notation(
     """Series of the quotient by the family ideal at k (plain when ell is None).
 
     The ideal is cached for the life of the process: the arguments fully
-    determine it, and it is immutable.  Its series comes from `hp_split` on
-    `ctx`, so a repeated call in one run finds its root in `ctx.splits`.
+    determine it, and it is immutable.  The builders make it canonical, so
+    its series comes from the engine behind `hp_split` with no second
+    canonicalization.  The engine runs on `ctx`, so a repeated call in one
+    run finds its root in `ctx.splits`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
-    return hp_split(_hp_notation_cached(k, ell, r, n), ctx=ctx)
+    splits = (RunContext() if ctx is None else ctx).splits
+    return _split_canonical(_hp_notation_cached(k, ell, r, n), splits)

@@ -3,8 +3,10 @@
 Coefficients are signed arbitrary-precision integers; no rounding occurs
 anywhere.  A series certifies its coefficients for degrees 0..trunc
 (inclusive) and says nothing beyond.  Arithmetic on two series is certified
-through the smaller of the two ranges, and exact division by q^w shrinks the
-certified range by w rather than padding with unspecified values.
+through the smaller of the two ranges.  Exact division by q^w shrinks the
+certified range by w rather than padding with unspecified values, and its
+inverse, exact multiplication by q^w, grows it by w; `shift` multiplies by
+q^w at a fixed truncation instead, dropping the top w coefficients.
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ class TruncatedSeries:
         if w > n:
             return TruncatedSeries((0,) * (n + 1))
         return TruncatedSeries((0,) * w + self.coeffs[: n + 1 - w])
+
+    def mul_q_pow(self, w: int) -> TruncatedSeries:
+        """Exact multiplication by q^w; the certified range grows by w.
+
+        The inverse of div_q_pow: every known coefficient moves up by w and
+        none is dropped, so q^w * s is certified through trunc + w.
+        """
+        if w < 0:
+            raise ValueError(f"negative power {w}")
+        return TruncatedSeries((0,) * w + self.coeffs)
 
     def div_q_pow(self, w: int) -> TruncatedSeries:
         """Exact division by q^w; the certified range shrinks by w.
@@ -185,14 +197,6 @@ def triple_product_terms(a: int, modulus: int, n: int) -> list[tuple[int, int]]:
             terms[degree] = terms.get(degree, 0) + (-1) ** m
             m += 1
     return [(d, c) for d, c in sorted(terms.items()) if c]
-
-
-def pentagonal_terms(k: int, n: int) -> list[tuple[int, int]]:
-    """Nonzero terms of (q^k; q^k)_inf through n: Euler's pentagonal theorem.
-
-    The triple product at a = k, M = 3k: sum of (-1)^m q^(k m(3m-1)/2).
-    """
-    return triple_product_terms(k, 3 * k, n)
 
 
 def mul_sparse(series: TruncatedSeries, terms: Sequence[tuple[int, int]]) -> TruncatedSeries:

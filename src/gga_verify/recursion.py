@@ -42,7 +42,6 @@ from .qseries import (
     div_sparse,
     eq_up_to,
     mul_sparse,
-    pentagonal_terms,
     q_power,
     series_one,
     series_zero,
@@ -56,15 +55,23 @@ def _decompose_index(r: int, index: int) -> tuple[int, int]:
     return (index - i) // (r - 1), i
 
 
-def _recursion_padding(r: int, g_stop: int) -> int:
-    """Certified-range loss of the level cascade up to g_stop.
+def _recursion_padding(r: int, g_stop: int, i_stop: int) -> int:
+    """Certified-range loss of the level cascade up to entry i_stop of level g_stop.
 
-    The level-g entries cost exact divisions by q^(2g(i-1)) for i = 2..r,
-    chained through the previous entry, so the last entry of level g loses
-    g*r*(r-1) degrees on top of its inputs.  The budget is exact for entries
-    with i = r: one degree less and the final truncation raises.
+    Runs the cascade of _product_series on certified ranges alone, counted
+    from the bases' truncation: a difference keeps the smaller range of its
+    operands, q^(w-1) times the chained entry gains w-1 degrees, and the
+    exact division by q^w loses w.  The loss grows as about r*g(g+1)/2.  It
+    is exact: with one degree less the final truncation raises.
     """
-    return sum(g * r * (r - 1) for g in range(1, g_stop + 1))
+    row = [0] * r
+    for g in range(1, g_stop + 1):
+        new = [row[r - 1]]
+        for i in range(2, (i_stop if g == g_stop else r) + 1):
+            w = 2 * g * (i - 1)
+            new.append(min(row[r - i], row[r - i + 1], new[i - 2] + w - 1) - w)
+        row = new
+    return -row[i_stop - 1]
 
 
 def _congruence_bases(r: int, indices: Iterable[int], n: int) -> list[TruncatedSeries]:
@@ -72,14 +79,14 @@ def _congruence_bases(r: int, indices: Iterable[int], n: int) -> list[TruncatedS
 
     Index j excludes the parts 2 mod 4 and 0, +-a mod 4r with
     a = 2r - (2j - 1), so its product factors as D * theta_a with
-        D       = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf),
+        D       = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf)
+                = 1 / (q, q^3, q^4; q^4)_inf,
         theta_a = (q^a, q^(4r-a), q^(4r); q^(4r))_inf.
-    Every factor is sparse by Euler's pentagonal theorem and Jacobi's triple
-    product (Andrews, The Theory of Partitions, ch. 1-2), so D costs one
-    sparse multiply and two sparse divisions, and each base one multiply.
+    Both theta series are sparse by Jacobi's triple product (Andrews, The
+    Theory of Partitions, ch. 2), so D costs one sparse division and each
+    base one sparse multiply.
     """
-    d = mul_sparse(series_one(n), pentagonal_terms(2, n))
-    d = div_sparse(div_sparse(d, pentagonal_terms(1, n)), pentagonal_terms(4, n))
+    d = div_sparse(series_one(n), triple_product_terms(1, 4, n))
     return [mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, n)) for j in indices]
 
 
@@ -88,9 +95,10 @@ def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> Tr
 
     Indices 1..r are the congruence products, built from their sparse
     factorisation (see _congruence_bases).  Larger indices run the level
-    cascade bottom-up on a padded working truncation so that the certified
-    range still covers n after all exact divisions.  The result is kept in
-    `ctx` under (r, index, n).
+    cascade bottom-up on a working truncation padded by its exact loss (see
+    _recursion_padding), so that the certified range covers n after all
+    exact divisions; the last level stops at the entry asked for.  The
+    result is kept in `ctx` under (r, index, n).
     """
     check_params(r=r, index=index, n=n)
     products = (RunContext() if ctx is None else ctx).products
@@ -105,13 +113,13 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
         return _congruence_bases(r, [index], n)[0]
 
     g_stop, i_stop = _decompose_index(r, index)
-    work = n + _recursion_padding(r, g_stop)
+    work = n + _recursion_padding(r, g_stop, i_stop)
     row = _congruence_bases(r, range(1, r + 1), work)
     for g in range(1, g_stop + 1):
         new = [row[r - 1]]
-        for i in range(2, r + 1):
+        for i in range(2, (i_stop if g == g_stop else r) + 1):
             w = 2 * g * (i - 1)
-            numerator = row[r - i] - row[r - i + 1] - new[i - 2].shift(w - 1)
+            numerator = row[r - i] - row[r - i + 1] - new[i - 2].mul_q_pow(w - 1)
             new.append(numerator.div_q_pow(w))
         row = new
     return row[i_stop - 1].truncated(n)

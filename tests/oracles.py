@@ -8,7 +8,9 @@ whole partitions and a forward pass over the weight that appends one part at
 a time instead of the package's pass over part values in Andrews' frequency
 form for the gap side, a filter over every partition of each weight instead
 of the package's walk over the standard monomials only, the classical
-pentagonal-number recurrence instead of product expansion, and literal
+pentagonal-number recurrence instead of product expansion, the product
+cascade with fixed-truncation shifts on pentagonal bases instead of the
+package's exact q-power multiplication on one theta series, and literal
 restatements of generator families.  Agreement between these and the
 package is evidence, not circularity.
 """
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from gga_verify.monomial import Monomial, MonomialIdeal
-from gga_verify.qseries import TruncatedSeries
+from gga_verify.qseries import (
+    TruncatedSeries,
+    div_sparse,
+    mul_sparse,
+    series_one,
+    triple_product_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -284,3 +292,46 @@ def classical_partition_count(n: int) -> int:
             k += 1
         table[m] = total
     return table[n]
+
+
+def pentagonal_terms(k: int, n: int) -> list[tuple[int, int]]:
+    """Nonzero terms of (q^k; q^k)_inf through n: Euler's pentagonal theorem.
+
+    The triple product at a = k, M = 3k: sum of (-1)^m q^(k m(3m-1)/2).
+    """
+    return triple_product_terms(k, 3 * k, n)
+
+
+def padded_level(r: int, g_stop: int, n: int) -> list[TruncatedSeries]:
+    """All r entries of cascade level g_stop (level 0: the bases), through n."""
+    # With the chained term kept at its truncation, level g loses g*r*(r-1)
+    # degrees at its i = r entry; the bases are padded by the sum of those.
+    work = n + sum(g * r * (r - 1) for g in range(1, g_stop + 1))
+    d = mul_sparse(series_one(work), pentagonal_terms(2, work))
+    d = div_sparse(div_sparse(d, pentagonal_terms(1, work)), pentagonal_terms(4, work))
+    row = [
+        mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, work))
+        for j in range(1, r + 1)
+    ]
+    for g in range(1, g_stop + 1):
+        new = [row[r - 1]]
+        for i in range(2, r + 1):
+            w = 2 * g * (i - 1)
+            numerator = row[r - i] - row[r - i + 1] - new[i - 2].shift(w - 1)
+            new.append(numerator.div_q_pow(w))
+        row = new
+    return [entry.truncated(n) for entry in row]
+
+
+def padded_cascade(r: int, index: int, n: int) -> TruncatedSeries:
+    """Product-side series of any positive index, by the padded level cascade.
+
+    The bases are D * theta_a with D = (q^2;q^2) / ((q;q)(q^4;q^4)) from
+    three pentagonal series.  The chained term q^(w-1) C[g, i-1] is a `shift`
+    at fixed truncation, so every entry of level g is padded by the loss of
+    its last one, g*r*(r-1), and every level runs all r entries.
+    """
+    if index <= r:
+        return padded_level(r, 0, n)[index - 1]
+    i_stop = (index - 2) % (r - 1) + 2
+    return padded_level(r, (index - i_stop) // (r - 1), n)[i_stop - 1]

@@ -245,7 +245,9 @@ def test_exit_three_on_certified_range_violation(
 ) -> None:
     # one degree short of the exact cascade padding: index 7 is the i = r entry of level 2
     exact = recursion._recursion_padding
-    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
+    monkeypatch.setattr(
+        recursion, "_recursion_padding", lambda r, g_stop, i_stop: exact(r, g_stop, i_stop) - 1
+    )
     code, out = run_cli("series", "c", "--r", "3", "--index", "7", "--N", "10")
     assert code == 3
     assert out == ""
@@ -312,7 +314,9 @@ def test_out_flag_keeps_old_file_on_failed_run(monkeypatch: pytest.MonkeyPatch, 
     target = tmp_path / "series.json"
     target.write_text("old content\n")
     exact = recursion._recursion_padding
-    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
+    monkeypatch.setattr(
+        recursion, "_recursion_padding", lambda r, g_stop, i_stop: exact(r, g_stop, i_stop) - 1
+    )
     code, out = run_cli("series", "c", "--r", "3", "--index", "7", "--N", "10", "--out", str(target))
     assert code == 3
     assert out == ""

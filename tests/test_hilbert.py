@@ -294,6 +294,21 @@ def test_hp_split_handles_killed_variables() -> None:
     assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
+def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
+    # x1 divides x1^2: unreduced, the add branch on pivot x1 would return the
+    # same problem forever, so hp_split must minimalize what it is given
+    gens = (
+        Monomial.make({1: 1}),
+        Monomial.make({1: 2}),
+        Monomial.make({2: 1, 3: 1}),
+        Monomial.make({2: 2, 3: 1}),
+    )
+    ideal = MonomialIdeal(gens, 1, 15)
+    assert ideal != MonomialIdeal.build(gens, 1, 15)
+    assert hp_split(ideal) == hp_brute(ideal)
+    assert hp_split(ideal) == hp_brute(MonomialIdeal.build(gens, 1, 15))
+
+
 def test_hp_split_terminates_on_dense_repeated_variables() -> None:
     gens = [
         Monomial.make({1: 5}),

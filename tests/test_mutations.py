@@ -4,8 +4,10 @@ A mutant replaces one token of a side's source, is compiled into that
 side's module namespace, and is patched in where the verifiers bind it.
 The verifier must then report a failure that names the expected clause
 and a witness at a low degree, and the CLI must exit 1 (an identity
-mismatched), never 3 or 4.  See DeMillo, Lipton and Sayward, "Hints on
-test data selection", IEEE Computer 11(4), 1978.
+mismatched), never 3 or 4.  A mutant that breaks the product-side cascade's
+own exact division is caught before any identity is compared: it raises
+`NonDivisible` and the CLI exits 3.  See DeMillo, Lipton and Sayward, "Hints
+on test data selection", IEEE Computer 11(4), 1978.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import pytest
 
 from gga_verify import cli, partitions, recursion
 from gga_verify.context import RunContext
+from gga_verify.errors import NonDivisible
 
 VERIFY_ARGV = ["verify", "--r", "2..4", "--i", "all", "--J", "0..1", "--N", "20"]
+LEMMAS_ARGV = ["verify", "--lemmas", "--r", "2..4", "--i", "all", "--J", "0..1", "--N", "20"]
 CELLS = [(r, i, J) for r in range(2, 5) for i in range(1, r + 1) for J in (0, 1)]
 
 # (name, token in the source of partitions.series_E, its replacement, clause)
@@ -41,9 +45,9 @@ def mutant(function, token: str, replacement: str):
     return namespace[function.__name__]
 
 
-def run_verify() -> tuple[int, list[dict]]:
+def run_verify(argv: list[str] = VERIFY_ARGV) -> tuple[int, list[dict]]:
     out = io.StringIO()
-    code = cli.run(VERIFY_ARGV, stdout=out)
+    code = cli.run(argv, stdout=out)
     return code, [json.loads(line) for line in out.getvalue().splitlines()]
 
 
@@ -77,3 +81,36 @@ def test_gap_side_mutant_is_caught(monkeypatch, token: str, replacement: str, cl
     code, reports = run_verify()
     assert code == 1
     assert sum(not report["pass"] for report in reports) == len(failed)
+
+
+def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
+    # theta(3, 4) is theta(1, 4) again, so the mutant changes the modulus
+    swapped = mutant(
+        recursion._congruence_bases,
+        "triple_product_terms(1, 4, n)",
+        "triple_product_terms(1, 8, n)",
+    )
+    monkeypatch.setattr(recursion, "_congruence_bases", swapped)
+    code, reports = run_verify(LEMMAS_ARGV)
+    assert code == 1
+    clauses = {"main": "product_vs_gap", "limits": "product_tail_is_one"}
+    failed = [report for report in reports if not report["pass"]]
+    assert {report["check"] for report in failed} == set(clauses)
+    for report in failed:
+        assert report["params"]["clause"] == clauses[report["check"]]
+        assert report["first_mismatch"]["degree"] <= 20
+
+
+def test_cascade_chained_power_mutant_fails_exact_division(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(
+        recursion,
+        "_product_series",
+        mutant(recursion._product_series, "mul_q_pow(w - 1)", "mul_q_pow(w)"),
+    )
+    with pytest.raises(NonDivisible):
+        recursion.c_series(2, 3, 20)
+    capsys.readouterr()
+    code, _ = run_verify(LEMMAS_ARGV)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("arithmetic error:") and err.count("\n") == 1

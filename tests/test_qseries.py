@@ -13,7 +13,6 @@ from gga_verify.qseries import (
     div_sparse,
     eq_up_to,
     mul_sparse,
-    pentagonal_terms,
     product_geometric_inverses,
     q_power,
     series_one,
@@ -21,7 +20,7 @@ from gga_verify.qseries import (
     triple_product_terms,
 )
 
-from oracles import from_coeffs, restricted_partition_count, valuation
+from oracles import from_coeffs, pentagonal_terms, restricted_partition_count, valuation
 
 
 def _random_series(rng: random.Random, trunc: int) -> TruncatedSeries:
@@ -87,6 +86,25 @@ def test_div_q_pow_examples() -> None:
     assert s.div_q_pow(0) is s
     with pytest.raises(NonDivisible):
         from_coeffs([1, 0]).div_q_pow(1)
+
+
+def test_mul_q_pow_grows_certified_range() -> None:
+    s = from_coeffs([3, 1, 4])
+    assert s.mul_q_pow(2).coeffs == (0, 0, 3, 1, 4)
+    assert s.mul_q_pow(2).trunc == s.trunc + 2
+    assert s.mul_q_pow(0) == s
+    with pytest.raises(ValueError):
+        s.mul_q_pow(-1)
+
+
+def test_mul_q_pow_inverts_div_q_pow_on_random_series() -> None:
+    rng = random.Random(11)
+    for _ in range(50):
+        w = rng.randint(0, 6)
+        s = _random_series(rng, rng.randint(0, 12))
+        assert s.mul_q_pow(w).div_q_pow(w) == s
+        # the fixed-truncation shift is the certified prefix of the exact product
+        assert s.mul_q_pow(w).coeffs[: s.trunc + 1] == s.shift(w).coeffs
 
 
 def test_div_q_pow_shrinks_certified_range() -> None:
@@ -195,6 +213,14 @@ def test_pentagonal_terms_invert_the_partition_series() -> None:
     for k in (1, 2, 4, 7):
         inverse = product_geometric_inverses(range(k, n + 1, k), n)
         assert mul_sparse(inverse, pentagonal_terms(k, n)) == series_one(n), k
+
+
+def test_one_theta_series_gives_the_parts_not_2_mod_4() -> None:
+    # 1/(q, q^3, q^4; q^4)_inf = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf)
+    for n in range(301):
+        sparse = div_sparse(series_one(n), triple_product_terms(1, 4, n))
+        dense = product_geometric_inverses([m for m in range(1, n + 1) if m % 4 != 2], n)
+        assert sparse == dense, n
 
 
 def test_triple_product_terms_invert_the_class_product() -> None:

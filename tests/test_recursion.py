@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gga_verify import recursion
+from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange, TruncationTooShort
 from gga_verify.partitions import allowed_parts_C, series_E
 from gga_verify.qseries import (
@@ -29,7 +30,13 @@ from gga_verify.recursion import (
     verify_mn_tables,
 )
 
-from oracles import from_coeffs, restricted_partition_count, valuation
+from oracles import (
+    from_coeffs,
+    padded_cascade,
+    padded_level,
+    restricted_partition_count,
+    valuation,
+)
 
 
 def test_c_series_base_products() -> None:
@@ -77,33 +84,61 @@ def test_c_series_bases_match_dense_product_property(data, r: int, n: int) -> No
 
 
 def test_recursion_padding_is_exact_loss() -> None:
-    assert recursion._recursion_padding(4, 15) == 1440
-    assert recursion._recursion_padding(2, 1) == 2
+    assert recursion._recursion_padding(4, 15, 4) == 496
+    assert recursion._recursion_padding(4, 15, 2) == 464
+    assert recursion._recursion_padding(2, 1, 2) == 2
 
 
 def test_c_series_unchanged_by_extra_padding(monkeypatch: pytest.MonkeyPatch) -> None:
     cases = [(r, index, n) for r in range(2, 6) for index in range(r + 1, 4 * r) for n in (0, 9, 20)]
     exact = {case: c_series(*case) for case in cases}
-    # the looser budget of one extra degree per division step
+    # the looser budget of one extra degree per division step, with no chained gain
     monkeypatch.setattr(
         recursion,
         "_recursion_padding",
-        lambda r, g_stop: sum(2 * g * (i - 1) + 1 for g in range(1, g_stop + 1) for i in range(2, r + 1)),
+        lambda r, g_stop, i_stop: sum(
+            2 * g * (i - 1) + 1 for g in range(1, g_stop + 1) for i in range(2, r + 1)
+        ),
     )
     for case in cases:
         assert c_series(*case) == exact[case], case
 
 
 def test_padding_one_short_raises_at_last_level_entry(monkeypatch: pytest.MonkeyPatch) -> None:
-    # entries with i = r lose exactly the padding, so one degree less must fail
+    # the entry asked for loses exactly the padding, so one degree less must fail
     exact = recursion._recursion_padding
-    monkeypatch.setattr(recursion, "_recursion_padding", lambda r, g_stop: exact(r, g_stop) - 1)
-    for r in range(2, 6):
+    monkeypatch.setattr(
+        recursion, "_recursion_padding", lambda r, g_stop, i_stop: exact(r, g_stop, i_stop) - 1
+    )
+    for r in range(2, 7):
         for g in (1, 2, 3):
-            index = (r - 1) * g + r
-            for n in (0, 10):
-                with pytest.raises(TruncationTooShort):
-                    c_series(r, index, n)
+            for i_stop in range(2, r + 1):
+                index = (r - 1) * g + i_stop
+                for n in (0, 10):
+                    with pytest.raises(TruncationTooShort):
+                        c_series(r, index, n)
+
+
+def test_c_series_equals_padded_cascade_on_grid() -> None:
+    # every index up to (r-1)(n/2+2)+1: the limit tail of verify_limits and one level more
+    ctx = RunContext()
+    compared = 0
+    for r in range(2, 7):
+        for n in (0, 1, 3, 8, 20, 30):
+            for g in range(n // 2 + 2):
+                level = padded_level(r, g, n)
+                for i in range(1 if g == 0 else 2, r + 1):
+                    index = (r - 1) * g + i
+                    assert c_series(r, index, n, ctx=ctx) == level[i - 1], (r, index, n)
+                    compared += 1
+    assert compared == 660
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), r=st.integers(2, 8), n=st.integers(0, 60))
+def test_c_series_equals_padded_cascade_property(data, r: int, n: int) -> None:
+    index = data.draw(st.integers(1, (r - 1) * 10 + 1), label="index")
+    assert c_series(r, index, n) == padded_cascade(r, index, n)
 
 
 def test_c_series_validation() -> None:
