@@ -23,11 +23,9 @@ class RunContext:
                 (smallest r whose difference conditions they meet,
                 number of parts <= 2), one sweep answering every `count_D`;
     splits:     `hp_split` sub-problem series (coefficient tuples), keyed by
-                (min_var, generators, budget), the generators a sorted
-                tuple of `Monomial`; a quotient whose generators are all
-                single variables is keyed by (min_var, generators) alone
-                and kept at the largest budget seen, since its series at a
-                smaller budget is a prefix.
+                (min_var, generators), the generators a sorted tuple of
+                `Monomial`; each entry is the longest series computed for
+                its key, and a smaller budget reads a prefix of it.
     """
 
     def __init__(self) -> None:

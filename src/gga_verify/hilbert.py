@@ -13,16 +13,19 @@ a monomial ideal, truncated at degree N:
   colon and the sum change at most the generators that contain f, so each
   step keeps the generators canonical without re-minimalizing them.  It
   keeps its memo in the run context (`RunContext.splits`), keyed by the
-  ambient ring's min_var, the sorted tuple of `Monomial` generators and the
-  budget, so the cells of one run share their sub-problems.
+  ambient ring's min_var and the sorted tuple of `Monomial` generators, so
+  the cells of one run share their sub-problems; each key holds the longest
+  series computed for it, and a smaller budget reads a prefix.
 
 Both engines keep their own stack, so neither is bounded by the
 interpreter's recursion limit.
 
 The ideal families encode the gap conditions of the partition identities:
 squares of odd variables, odd-even neighbor products, and two staircase
-families on consecutive even variables, all anchored at a starting index,
-plus three boundary generators controlling the smallest two variables.
+families on consecutive even variables.  One builder, `build_L_k_ell`,
+makes all of them from the generators whose smallest variable is x_j, for
+each j from the anchor k up; the cap ell on the first one or two steps
+gives the boundary ideals, and ell = r the plain family.
 """
 
 from __future__ import annotations
@@ -35,79 +38,55 @@ from .monomial import Monomial, MonomialIdeal, _add, _colon, _standard_counts
 from .qseries import TruncatedSeries, product_geometric_inverses
 
 
-def _x(var: int, exp: int = 1) -> Monomial:
-    return Monomial.make({var: exp})
+def _step_gens(j: int, cap: int, r: int) -> list[Monomial]:
+    """The family generators whose smallest variable is x_j, with cap `cap`.
 
-
-def _gap_family_gens(start: int, r: int, n: int) -> list[Monomial]:
-    """Generators with all base indices >= start, weight-truncated at n.
-
-    Four families: x_odd^2; x_odd * x_{odd+1}^{r-1}; x_even^{r-n1} * x_{even+2}^{n1}
-    for 0 <= n1 <= r-1; x_even^{r-n2-1} * x_{even+1} * x_{even+2}^{n2} for
-    0 <= n2 <= r-2.  Base indices above n are useless: any such generator
-    already weighs more than n.
+    Odd j: x_j^2 and x_j * x_{j+1}^{cap-1}.  Even j: x_j^cap, the staircase
+    x_j^{cap-s} * x_{j+2}^{r-cap+s} for 1 <= s <= cap-1, and the staircase
+    x_j^{cap-1-s} * x_{j+1} * x_{j+2}^{r-cap+s} for 0 <= s <= cap-2.  Zero
+    exponents are left out, so at cap = 1 the odd pair's second generator
+    is x_j itself.
     """
-    gens: list[Monomial] = []
-    for odd in range(start + (start % 2 == 0), n + 1, 2):
-        gens.append(_x(odd, 2))
-        gens.append(Monomial.make({odd: 1, odd + 1: r - 1}))
-    for even in range(start + (start % 2 == 1), n + 1, 2):
-        for n1 in range(r):
-            gens.append(Monomial.make({even: r - n1, even + 2: n1}))
-        for n2 in range(r - 1):
-            gens.append(Monomial.make({even: r - n2 - 1, even + 1: 1, even + 2: n2}))
-    return [g for g in gens if g.weight <= n]
-
-
-def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
-    """Boundary ideal in the ring on x_{2J+1}, x_{2J+2}, ...
-
-    Generators: x_{2J+1}^2, x_{2J+1} * x_{2J+2}^{i-1}, x_{2J+2}^i, plus the
-    gap families anchored at 2J+2.  At i = 1 the middle generator degenerates
-    to x_{2J+1}, which then subsumes the square.
-    """
-    check_params(r=r, i=i, J=J, n=n)
-    k0 = 2 * J + 1
-    gens = [
-        _x(k0, 2),
-        Monomial.make({k0: 1, k0 + 1: i - 1}),
-        _x(k0 + 1, i),
-    ]
-    gens += _gap_family_gens(k0 + 1, r, n)
-    return MonomialIdeal.build(gens, k0, n)
-
-
-def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
-    """Pure gap-family ideal anchored at k, in the ring on x_k, x_{k+1}, ..."""
-    check_params(r=r, k=k, n=n)
-    return MonomialIdeal.build(_gap_family_gens(k, r, n), k, n)
+    if j % 2:
+        terms = [((j, 2),), ((j, 1), (j + 1, cap - 1))]
+    else:
+        terms = [((j, cap),)]
+        terms += [((j, cap - s), (j + 2, r - cap + s)) for s in range(1, cap)]
+        terms += [((j, cap - 1 - s), (j + 1, 1), (j + 2, r - cap + s)) for s in range(cap - 1)]
+    trimmed = [tuple((v, e) for v, e in term if e) for term in terms]
+    return [Monomial(sum(v * e for v, e in exps), exps) for exps in trimmed]
 
 
 def build_L_k_ell(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
-    """Interpolating ideal between consecutive gap-family ideals.
+    """The family ideal anchored at k with cap ell, in the ring on x_k, x_{k+1}, ...
 
-    For odd k: (x_k^2, x_k * x_{k+1}^{ell-1}) plus the even-index step below
-    at k+1.  For even k: x_k^ell, the staircase x_k^{ell-j} * x_{k+2}^{r-ell+j}
-    for 1 <= j <= ell-1, the staircase x_k^{ell-1-j} * x_{k+1} * x_{k+2}^{r-ell+j}
-    for 0 <= j <= ell-2, plus the plain family ideal at k+1.  Empty staircase
-    ranges contribute nothing, so ell = 1 at even k is just (x_k) plus the
-    family ideal.
+    Its generators are the `_step_gens` of every j >= k: cap ell at j = k,
+    and also at j = k+1 when k is odd; cap r everywhere else.  At ell = r it
+    is the plain family ideal L_k, and at k = 2J+1, ell = i the boundary
+    ideal L(r, i, J).  Base indices above n are useless: any generator on
+    them already weighs more than n.
     """
     check_params(r=r, k=k, ell=ell, n=n)
     gens: list[Monomial] = []
-    j = k
-    if j % 2 == 1:
-        gens.append(_x(j, 2))
-        gens.append(Monomial.make({j: 1, j + 1: ell - 1}))
-        j += 1
-    if j <= n:
-        gens.append(_x(j, ell))
-        for step in range(1, ell):
-            gens.append(Monomial.make({j: ell - step, j + 2: r - ell + step}))
-        for step in range(ell - 1):
-            gens.append(Monomial.make({j: ell - 1 - step, j + 1: 1, j + 2: r - ell + step}))
-        gens += _gap_family_gens(j + 1, r, n)
+    for j in range(k, n + 1):
+        gens += _step_gens(j, ell if j - k <= k % 2 else r, r)
     return MonomialIdeal.build(gens, k, n)
+
+
+def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
+    """Plain family ideal anchored at k: the gap conditions of every part >= k."""
+    check_params(r=r, k=k, n=n)
+    return build_L_k_ell(k, r, r, n)
+
+
+def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
+    """Boundary ideal: the family ideal at k = 2J+1 with cap i.
+
+    Its generators on x_{2J+1} are x_{2J+1}^2 and x_{2J+1} * x_{2J+2}^{i-1},
+    which at i = 1 degenerates to x_{2J+1} and subsumes the square.
+    """
+    check_params(r=r, i=i, J=J, n=n)
+    return build_L_k_ell(2 * J + 1, i, r, n)
 
 
 def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
@@ -136,23 +115,11 @@ def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
     return best
 
 
-def _free_series(
-    splits: dict[tuple, tuple[int, ...]], min_var: int, gens: tuple[Monomial, ...], budget: int
-) -> tuple[int, ...]:
-    """Series of the quotient by the single variables `gens`, through `budget`.
-
-    It is the product of 1/(1 - q^v) over the variables that are not killed.
-    The factors with v > budget only reach degrees above the budget, so the
-    series at a smaller budget is a prefix of the one at a larger budget:
-    one series per killed set, at the largest budget asked for, serves all.
-    """
-    key = (min_var, gens)
-    series = splits.get(key)
-    if series is None or len(series) <= budget:
-        killed = {exps[0][0] for _, exps in gens}
-        parts = [v for v in range(min_var, budget + 1) if v not in killed]
-        splits[key] = series = product_geometric_inverses(parts, budget).coeffs
-    return series[: budget + 1]
+def _free_series(min_var: int, gens: tuple[Monomial, ...], budget: int) -> tuple[int, ...]:
+    """Series of the quotient by the single variables `gens`: 1/(1 - q^v) over the others."""
+    killed = {exps[0][0] for _, exps in gens}
+    parts = [v for v in range(min_var, budget + 1) if v not in killed]
+    return product_geometric_inverses(parts, budget).coeffs
 
 
 def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> TruncatedSeries:
@@ -172,10 +139,13 @@ def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> Truncate
     The input is canonicalized once, so a hand-built non-minimal ideal
     cannot stall the recursion; every sub-problem is a sorted tuple of
     `Monomial` generators, made by the kernels monomial._colon and _add.
-    Solved sub-problems go to `ctx.splits` under (min_var, generators,
-    budget), so they are shared by every call made with the same context; a
-    call without one gets a fresh context.  The recursion runs on an
-    explicit stack of tasks, so a colon chain of any length fits.
+    Solved sub-problems go to `ctx.splits` under (min_var, generators), so
+    every call with the same context shares them; a call without one gets a
+    fresh context.  The key needs no budget: a sub-problem's generators
+    exclude every one above its budget, so equal keys are one ideal, whose
+    series at a larger budget serves a smaller one as a prefix.  A key is
+    recomputed only when its entry is too short, so it keeps the longest.
+    The recursion runs on an explicit stack, so any colon chain fits.
     """
     canonical = MonomialIdeal.build(ideal.gens, ideal.min_var, ideal.trunc)
     return _split_canonical(canonical, (RunContext() if ctx is None else ctx).splits)
@@ -197,19 +167,21 @@ def _split_canonical(ideal: MonomialIdeal, splits: dict[tuple, tuple[int, ...]])
             out = list(solved.pop())
             for j, c in enumerate(low):
                 out[j + pivot] += c
-            splits[(min_var, gens, budget)] = result = tuple(out)
+            splits[(min_var, gens)] = result = tuple(out)
             solved.append(result)
             continue
         if gens and not gens[0].weight:
             solved.append((0,) * (budget + 1))
             continue
+        key = (min_var, gens)
+        cached = splits.get(key)
+        if cached is not None and len(cached) > budget:
+            solved.append(cached[: budget + 1])
+            continue
         pivot = _pivot_var(gens)
         if pivot is None:
-            solved.append(_free_series(splits, min_var, gens, budget))
-            continue
-        cached = splits.get((min_var, gens, budget))
-        if cached is not None:
-            solved.append(cached)
+            splits[key] = series = _free_series(min_var, gens, budget)
+            solved.append(series)
             continue
         # Last in, first out: the add branch runs first, then the colon.  The
         # pivot is the smallest variable of a generator of degree >= 2 and
@@ -222,9 +194,7 @@ def _split_canonical(ideal: MonomialIdeal, splits: dict[tuple, tuple[int, ...]])
 
 
 @lru_cache(maxsize=None)
-def _hp_notation_cached(k: int, ell: int | None, r: int, n: int) -> MonomialIdeal:
-    if ell is None:
-        return build_L_k(k, r, n)
+def _hp_notation_cached(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
     return build_L_k_ell(k, ell, r, n)
 
 
@@ -233,12 +203,14 @@ def hp_notation(
 ) -> TruncatedSeries:
     """Series of the quotient by the family ideal at k (plain when ell is None).
 
-    The ideal is cached for the life of the process: the arguments fully
-    determine it, and it is immutable.  The builders make it canonical, so
-    its series comes from the engine behind `hp_split` with no second
+    The plain ideal is the one with cap ell = r, so ell = None is read as r
+    before the cache and both spellings share one entry.  The ideal is
+    cached for the life of the process: the arguments fully determine it,
+    and it is immutable.  The builder makes it canonical, so its series
+    comes from the engine behind `hp_split` with no second
     canonicalization.  The engine runs on `ctx`, so a repeated call in one
     run finds its root in `ctx.splits`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
     splits = (RunContext() if ctx is None else ctx).splits
-    return _split_canonical(_hp_notation_cached(k, ell, r, n), splits)
+    return _split_canonical(_hp_notation_cached(k, r if ell is None else ell, r, n), splits)

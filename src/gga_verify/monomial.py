@@ -130,25 +130,29 @@ def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, 
     The changed generators stay pairwise incomparable, since g/x_var | h/x_var
     would give g | h.  No unchanged generator divides a changed one, since
     u | g/x_var would give u | g.  So minimality can fail only where a
-    changed generator divides an unchanged one, and those unchanged ones go.
-    Generators that weigh more than trunc are dropped first.  That decides
-    nothing about the others, since a divisor weighs no more than what it
-    divides.
+    changed generator divides an unchanged one, which lacks x_var: only a
+    changed generator that lost its last x_var can, and the unchanged ones
+    it divides go.  Generators that weigh more than trunc are dropped first.
+    That decides nothing about the others, since a divisor weighs no more
+    than what it divides.
     """
     changed: list[Monomial] = []
+    lost: list[Exps] = []
     rest: list[Monomial] = []
     for g in gens:
         w, exps = g
-        if _exponent(exps, var):
+        power = _exponent(exps, var)
+        if power:
             if w - var <= trunc:
                 cut = tuple((v, e - (v == var)) for v, e in exps if v != var or e > 1)
                 changed.append(Monomial(w - var, cut))
+                if power == 1:
+                    lost.append(cut)
         elif w <= trunc:
             rest.append(g)
-    if not changed:
-        return tuple(rest)
-    kept = [g for g in rest if not any(_divides(c, g.exps) for _, c in changed)]
-    return tuple(sorted(changed + kept))
+    if lost:
+        rest = [g for g in rest if not any(_divides(c, g.exps) for c in lost)]
+    return tuple(sorted(changed + rest)) if changed else tuple(rest)
 
 
 def _add(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:

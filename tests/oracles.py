@@ -254,6 +254,71 @@ def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
             yield m
 
 
+def _gap_families(start: int, r: int, n: int) -> list[dict[int, int]]:
+    """The display's four gap families, every base index >= start.
+
+    Loops over the letters a, b, c, n1, n2 with their inequalities spelled
+    out: x_{2a-1}^2; x_{2b-1} * x_{2b}^{r-1}; x_{2c}^{r-n1} * x_{2c+2}^{n1}
+    for 0 <= n1 <= r-1; x_{2c}^{r-n2-1} * x_{2c+1} * x_{2c+2}^{n2} for
+    0 <= n2 <= r-2.
+    """
+    gens: list[dict[int, int]] = []
+    for a in range(1, n):
+        if 2 * a - 1 >= start:
+            gens.append({2 * a - 1: 2})
+    for b in range(1, n):
+        if 2 * b - 1 >= start:
+            gens.append({2 * b - 1: 1, 2 * b: r - 1})
+    for c in range(1, n):
+        if 2 * c >= start:
+            for n1 in range(r):
+                gens.append({2 * c: r - n1, 2 * c + 2: n1})
+            for n2 in range(r - 1):
+                gens.append({2 * c: r - n2 - 1, 2 * c + 1: 1, 2 * c + 2: n2})
+    return gens
+
+
+def _literal_minimal(gens: list[dict[int, int]], n: int) -> set[Monomial]:
+    """The generators of weight <= n that no other one divides, by pairwise test."""
+    pool = {m for m in map(Monomial.make, gens) if m.weight <= n}
+    return {g for g in pool if not any(h != g and divides(h, g) for h in pool)}
+
+
+def transcribed_family_ideal(k: int, ell: int | None, r: int, n: int) -> set[Monomial]:
+    """Minimal generators of L(k, ell), or of the plain L_k when ell is None.
+
+    A literal transcription of the definitions, sharing no code with the
+    package's builder: L_k is the gap families anchored at k.  L(k, ell) at
+    odd k is x_k^2 and x_k * x_{k+1}^{ell-1} plus L(k+1, ell); at even k it
+    is x_k^ell, x_k^{ell-j} * x_{k+2}^{r-ell+j} for 1 <= j <= ell-1,
+    x_k^{ell-1-j} * x_{k+1} * x_{k+2}^{r-ell+j} for 0 <= j <= ell-2, plus
+    L_{k+1}.
+    """
+    if ell is None:
+        return _literal_minimal(_gap_families(k, r, n), n)
+    gens: list[dict[int, int]] = []
+    even = k
+    if k % 2 == 1:
+        gens += [{k: 2}, {k: 1, k + 1: ell - 1}]
+        even = k + 1
+    gens.append({even: ell})
+    for j in range(1, ell):
+        gens.append({even: ell - j, even + 2: r - ell + j})
+    for j in range(ell - 1):
+        gens.append({even: ell - 1 - j, even + 1: 1, even + 2: r - ell + j})
+    return _literal_minimal(gens + _gap_families(even + 1, r, n), n)
+
+
+def transcribed_boundary_ideal(r: int, i: int, J: int, n: int) -> set[Monomial]:
+    """Minimal generators of L(r, i, J), transcribed literally.
+
+    x_{2J+1}^2, x_{2J+1} * x_{2J+2}^{i-1} and x_{2J+2}^i, plus the gap
+    families anchored at 2J+2.
+    """
+    boundary = [{2 * J + 1: 2}, {2 * J + 1: 1, 2 * J + 2: i - 1}, {2 * J + 2: i}]
+    return _literal_minimal(boundary + _gap_families(2 * J + 2, r, n), n)
+
+
 def from_coeffs(coeffs: Iterable[int]) -> TruncatedSeries:
     """The series with the given coefficients, each converted by int."""
     return TruncatedSeries(tuple(int(c) for c in coeffs))

@@ -43,7 +43,7 @@ def test_shared_context_matches_fresh_calls() -> None:
 def test_shared_context_matches_fresh_calls_on_the_quotient_side() -> None:
     ctx = RunContext()
     # equal generators in two rings and at three budgets: the split memo must
-    # tell them apart by min_var and by budget
+    # tell the rings apart by min_var and serve each budget its own prefix
     square = Monomial.make({3: 2})
     for n in (9, 7, 12):
         for min_var in (1, 3):

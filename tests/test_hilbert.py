@@ -23,56 +23,38 @@ from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, min
 from gga_verify.partitions import count_E, series_E
 from gga_verify.qseries import eq_up_to, product_geometric_inverses, series_one
 
-from oracles import classical_partition_count, valuation
+from oracles import (
+    classical_partition_count,
+    transcribed_boundary_ideal,
+    transcribed_family_ideal,
+    valuation,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _transcribed_boundary_ideal(r: int, i: int, J: int, n: int) -> set[str]:
-    """Second, deliberately literal transcription of the boundary ideal.
-
-    Loops over the display's letters a, b, c, n1, n2 with their inequalities
-    spelled out, then reduces with a local quadratic minimalizer.  Shares no
-    code with the package builder.
-    """
-    gens: set[tuple[tuple[int, int], ...]] = set()
-
-    def put(exps: dict[int, int]) -> None:
-        clean = tuple(sorted((v, e) for v, e in exps.items() if e > 0))
-        if sum(v * e for v, e in clean) <= n:
-            gens.add(clean)
-
-    put({2 * J + 1: 2})
-    put({2 * J + 1: 1, 2 * J + 2: i - 1})
-    put({2 * J + 2: i})
-    for a in range(1, n):
-        if 2 * a - 1 >= 2 * J + 2:
-            put({2 * a - 1: 2})
-    for b in range(1, n):
-        if 2 * b - 1 >= 2 * J + 2:
-            put({2 * b - 1: 1, 2 * b: r - 1})
-    for c in range(1, n):
-        if 2 * c >= 2 * J + 2:
-            for n1 in range(r):
-                put({2 * c: r - n1, 2 * c + 2: n1})
-            for n2 in range(r - 1):
-                put({2 * c: r - n2 - 1, 2 * c + 1: 1, 2 * c + 2: n2})
-
-    def divides(lhs: tuple, rhs: tuple) -> bool:
-        have = dict(rhs)
-        return all(have.get(v, 0) >= e for v, e in lhs)
-
-    minimal = {
-        g for g in gens if not any(h != g and divides(h, g) for h in gens)
-    }
-    return {str(Monomial.make(dict(g))) for g in minimal}
 
 
 def test_build_L_riJ_matches_independent_transcription() -> None:
     for r, i, J, n in [(2, 2, 0, 8), (2, 1, 0, 12), (3, 2, 1, 16), (4, 4, 0, 14)]:
         ideal = build_L_riJ(r, i, J, n)
-        assert {str(g) for g in ideal.gens} == _transcribed_boundary_ideal(r, i, J, n)
+        assert set(ideal.gens) == transcribed_boundary_ideal(r, i, J, n)
         assert ideal.min_var == 2 * J + 1
+
+
+def test_every_builder_matches_the_literal_transcription() -> None:
+    # the three builders share one code path, so notes N2 (L(k, r) = L_k) and
+    # N3 (L(2J+1, i) = L(r, i, J)) are checked against definitions written
+    # out separately, not against each other
+    for r in range(2, 6):
+        for n in (0, 1, 7, 25):
+            for k in range(1, 10):
+                assert set(build_L_k(k, r, n).gens) == transcribed_family_ideal(k, None, r, n)
+                for ell in range(1, r + 1):
+                    expected = transcribed_family_ideal(k, ell, r, n)
+                    assert set(build_L_k_ell(k, ell, r, n).gens) == expected, (k, ell, r, n)
+            for i in range(1, r + 1):
+                for J in range(5):  # keeps 2J+1 <= 9
+                    expected = transcribed_boundary_ideal(r, i, J, n)
+                    assert set(build_L_riJ(r, i, J, n).gens) == expected, (r, i, J, n)
 
 
 def test_build_L_riJ_golden_r2_i2_J0() -> None:
@@ -126,14 +108,13 @@ def test_build_L_k_relates_to_boundary_ideal() -> None:
         Monomial.make({2 * J + 2: i}),
     ]
     combined = minimalize(boundary + list(family.gens))
-    assert set(combined) == set(build_L_riJ(r, i, J, n).gens)
+    assert set(combined) == transcribed_boundary_ideal(r, i, J, n)
 
 
 def test_build_L_k_ell_equals_boundary_ideal() -> None:
     for r, i, J, n in [(2, 1, 0, 14), (2, 2, 0, 14), (3, 2, 1, 18), (4, 3, 2, 20)]:
         via_ell = build_L_k_ell(2 * J + 1, i, r, n)
-        direct = build_L_riJ(r, i, J, n)
-        assert via_ell.gens == direct.gens
+        assert set(via_ell.gens) == transcribed_boundary_ideal(r, i, J, n)
 
 
 def test_build_L_k_ell_even_degenerate_ell_one() -> None:
@@ -245,6 +226,25 @@ def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
             gens = [Monomial.make({1: a}), Monomial.make({2: 1, 3: 1})]
             ideal = MonomialIdeal.build(gens, 1, n)
             assert hp_split(ideal, ctx=ctx) == hp_brute(ideal), (a, n)
+
+
+def test_split_memo_keeps_the_longest_series_per_key() -> None:
+    # One context serves the same ideal at truncation 40, then 20, then 40.
+    # The memo is keyed by (min_var, generators) alone: a smaller budget reads
+    # a prefix of the entry, and no call may shorten what an earlier one kept.
+    ctx = RunContext()
+    longest: dict[tuple, tuple[int, ...]] = {}
+    for n in (40, 20, 40):
+        ideal = build_L_riJ(3, 1, 0, n)
+        fresh = RunContext()
+        assert hp_split(ideal, ctx=ctx) == hp_split(ideal, ctx=fresh), n
+        for key, series in fresh.splits.items():
+            longest[key] = max(longest.get(key, ()), series, key=len)
+    assert ctx.splits
+    assert all(len(key) == 2 for key in ctx.splits)
+    assert ctx.splits.keys() <= longest.keys()
+    for key, series in ctx.splits.items():
+        assert series == longest[key], key
 
 
 def test_engines_run_deeper_than_the_recursion_limit() -> None:

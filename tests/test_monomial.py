@@ -10,6 +10,7 @@ from gga_verify.errors import TruncationTooShort
 from gga_verify.monomial import (
     Monomial,
     MonomialIdeal,
+    _colon,
     _divides,
     add_var,
     colon_var,
@@ -238,3 +239,31 @@ def test_colon_and_add_equal_a_fresh_build(ideal: MonomialIdeal) -> None:
         for g in quotient.gens + bigger.gens:
             assert isinstance(g, Monomial)
             assert g.weight == sum(v * e for v, e in g.exps)
+
+
+def _literal_colon(ideal: MonomialIdeal, var: int, trunc: int) -> tuple[Monomial, ...]:
+    """(I : x_var) as written: divide what x_var divides, cut at trunc, minimalize."""
+    divided = [div_var(g, var) if dict(g.exps).get(var) else g for g in ideal.gens]
+    return minimalize(g for g in divided if g.weight <= trunc)
+
+
+def _assert_colon_is_literal(ideal: MonomialIdeal) -> None:
+    # every pivot up to one heavier than the truncation, at every budget a
+    # split can pass down
+    for var in range(ideal.min_var, ideal.trunc + 2):
+        for trunc in range(ideal.trunc + 1):
+            expected = _literal_colon(ideal, var, trunc)
+            assert _colon(ideal.gens, var, trunc) == expected, (str(ideal), var, trunc)
+
+
+def test_colon_kernel_equals_the_literal_colon_on_seeded_ideals() -> None:
+    rng = random.Random(2025)
+    for _ in range(30):
+        gens = [_random_monomial(rng) for _ in range(rng.randint(1, 6))]
+        _assert_colon_is_literal(MonomialIdeal.build(gens, 1, 16))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ideals(max_trunc=20, span=4))
+def test_colon_kernel_equals_the_literal_colon(ideal: MonomialIdeal) -> None:
+    _assert_colon_is_literal(ideal)

@@ -4,7 +4,9 @@ A mutant replaces one token of a side's source, is compiled into that
 side's module namespace, and is patched in where the verifiers bind it.
 The verifier must then report a failure that names the expected clause
 and a witness at a low degree, and the CLI must exit 1 (an identity
-mismatched), never 3 or 4.  A mutant that breaks the product-side cascade's
+mismatched), never 3 or 4.  The quotient side's family ideals are also
+cached for the life of the process, so its rows empty that cache before
+and after they run.  A mutant that breaks the product-side cascade's
 own exact division is caught before any identity is compared: it raises
 `NonDivisible` and the CLI exits 3.  See DeMillo, Lipton and Sayward, "Hints
 on test data selection", IEEE Computer 11(4), 1978.
@@ -18,7 +20,7 @@ import json
 
 import pytest
 
-from gga_verify import cli, partitions, recursion
+from gga_verify import cli, hilbert, partitions, recursion
 from gga_verify.context import RunContext
 from gga_verify.errors import NonDivisible
 
@@ -33,6 +35,13 @@ GAP_SIDE_MUTANTS = [
     ("odd part shifted by 2", ".shift(odd)", ".shift(odd + 2)", "product_vs_gap"),
     ("first pair skipped", "range(2 * J + 1,", "range(2 * J + 3,", "product_vs_gap"),
     ("odd part outside the window", "below[cap - b]", "below[cap + 1 - b]", "product_vs_gap"),
+]
+
+# (name, function in hilbert, token in its source, its replacement)
+QUOTIENT_SIDE_MUTANTS = [
+    ("first staircase from s = 2", "_step_gens", "range(1, cap)", "range(2, cap)"),
+    ("second staircase one short", "_step_gens", "range(cap - 1)", "range(cap - 2)"),
+    ("cap ell at j = k only", "build_L_k_ell", "j - k <= k % 2", "j - k < k % 2"),
 ]
 
 
@@ -82,6 +91,32 @@ def test_gap_side_mutant_is_caught(monkeypatch, token: str, replacement: str, cl
     assert code == 1
     assert sum(not report["pass"] for report in reports) == len(failed)
 
+
+
+@pytest.mark.parametrize(
+    "name, token, replacement",
+    [m[1:] for m in QUOTIENT_SIDE_MUTANTS],
+    ids=[m[0] for m in QUOTIENT_SIDE_MUTANTS],
+)
+def test_quotient_side_mutant_is_caught(monkeypatch, name: str, token: str, replacement: str) -> None:
+    monkeypatch.setattr(hilbert, name, mutant(getattr(hilbert, name), token, replacement))
+    hilbert._hp_notation_cached.cache_clear()  # else it serves the unmutated ideals
+    try:
+        ctx = RunContext()
+        failed = [
+            report
+            for report in (recursion.verify_main(r, i, J, 20, ctx=ctx) for r, i, J in CELLS)
+            if not report.passed
+        ]
+        assert failed
+        for report in failed:
+            assert report.params["clause"] == "quotient_vs_gap"
+            assert report.first_mismatch.degree <= 20
+        code, reports = run_verify()
+        assert code == 1
+        assert sum(not report["pass"] for report in reports) == len(failed)
+    finally:
+        hilbert._hp_notation_cached.cache_clear()
 
 def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
     # theta(3, 4) is theta(1, 4) again, so the mutant changes the modulus
