@@ -2,15 +2,18 @@
 
 Four subcommands: `series` prints one generating series, `count` one counting
 value, `hilbert` dumps an ideal with its series by both engines, and `verify`
-streams identity-check reports one JSON object per line.  Exit codes: 0 all
-checks pass, 1 an identity mismatched, 2 usage or parameter error (an
-unwritable --out path included), 3 an internal exact-division failure or a
-certified-range violation inside the engine, 4 any other internal error
-(a reader that closes the output early included), reported as one
-`internal error: <Type>: <message>` line on stderr when stderr is open.
-`--out` is written to a temporary file beside the target and moved into
-place only on exit 0 or 1, so a failed run leaves the target as it was.
-Each handler imports the engines it runs, so a subcommand loads only its own.
+streams identity-check reports.  Each handler only yields (JSON record,
+passed) pairs; `run` is the one writer.  It prints each record as one JSON
+line, or with `--format table` as the tab-separated view `_table` makes of
+it, flushes it, and sets the exit code: 0 every record passed, 1 an identity
+mismatched, 2 usage or parameter error (an unwritable --out target
+included), 3 an exact-division failure or a certified-range violation in the
+engine, 4 any other internal error (a reader that closes the output early
+included), reported as one `internal error: <Type>: <message>` line on
+stderr when it is open.  `--out` follows a symlink; a target that is not a
+regular file exits 2 before any computation.  It is written beside the
+target and moved into place only on exit 0 or 1, so a failed run leaves the
+target as it was.  Each handler imports only the engines it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import NonDivisible, TruncationTooShort, check_params
 
@@ -54,13 +57,6 @@ def _parse_range(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
-
-
-def _parse_i(text: str) -> list[int] | None:
-    """Parse the i selector: an explicit value/range, or None for 'all'."""
-    if text == "all":
-        return None
-    return _parse_range(text)
 
 
 # Per subcommand, per kind or family: the optional flags it reads, each of
@@ -110,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--i", type=int, help="anchor for kind e")
     p_series.add_argument("--J", type=int, default=0)
     p_series.add_argument("--N", type=int, default=20)
-    p_series.add_argument("--format", choices=["json", "table"], default="json")
-    p_series.add_argument("--out", metavar="PATH")
 
     p_count = sub.add_parser("count", help="print one counting value as JSON")
     p_count.add_argument("kind", choices=["c", "d", "e"])
@@ -119,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--i", type=int, required=True)
     p_count.add_argument("--J", type=int, default=0)
     p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--format", choices=["json", "table"], default="json")
-    p_count.add_argument("--out", metavar="PATH")
 
     p_hilbert = sub.add_parser("hilbert", help="dump an ideal and its series by both engines")
     p_hilbert.add_argument("--family", choices=["LriJ", "Lk", "Lkl"], required=True)
@@ -130,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hilbert.add_argument("--k", type=int)
     p_hilbert.add_argument("--ell", type=int)
     p_hilbert.add_argument("--N", type=int, default=20)
-    p_hilbert.add_argument("--format", choices=["json", "table"], default="json")
-    p_hilbert.add_argument("--out", metavar="PATH")
 
     p_verify = sub.add_parser("verify", help="stream identity-check reports, one JSON per line")
     p_verify.add_argument("--r", default="2", metavar="A[..B]")
@@ -139,12 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--J", default="0", metavar="A[..B]")
     p_verify.add_argument("--N", type=int, default=40)
     p_verify.add_argument("--lemmas", action="store_true", help="add lemma-level checks")
-    p_verify.add_argument("--format", choices=["json", "table"], default="json")
-    p_verify.add_argument("--out", metavar="PATH")
+    for p in (p_series, p_count, p_hilbert, p_verify):
+        p.add_argument("--format", choices=["json", "table"], default="json")
+        p.add_argument("--out", metavar="PATH")
     return parser
 
 
-def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_series(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
     _check_flags(args, f"series {args.kind}", _SERIES_FLAGS[args.kind])
     if args.kind == "c":
@@ -155,15 +146,10 @@ def _cmd_series(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         from .partitions import series_E
 
         series = series_E(args.r, args.i, args.J, args.N)
-    if args.format == "table":
-        for j, coeff in enumerate(series.coeffs):
-            emit(f"{j}\t{coeff}")
-    else:
-        emit(_dumps(series.to_json_dict()))
-    return EXIT_PASS
+    yield series.to_json_dict(), True
 
 
-def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_count(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     from .partitions import count_C, count_D, count_E
 
     _check_flags(args, f"count {args.kind}", _COUNT_FLAGS[args.kind])
@@ -173,20 +159,11 @@ def _cmd_count(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         value = count_D(args.r, args.i, args.n)
     else:
         value = count_E(args.r, args.i, args.J, args.n)
-    payload = {
-        "kind": args.kind,
-        "params": {"r": args.r, "i": args.i, "J": args.J},
-        "n": args.n,
-        "count": str(value),
-    }
-    if args.format == "table":
-        emit(f"{args.kind}\tr={args.r} i={args.i} J={args.J}\tn={args.n}\t{value}")
-    else:
-        emit(_dumps(payload))
-    return EXIT_PASS
+    params = {"r": args.r, "i": args.i, "J": args.J}
+    yield {"kind": args.kind, "params": params, "n": args.n, "count": str(value)}, True
 
 
-def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_hilbert(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
     from .qseries import eq_up_to
 
@@ -204,7 +181,7 @@ def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     brute = hp_brute(ideal)
     split = hp_split(ideal)
     agree, _ = eq_up_to(brute, split, args.N)
-    payload = {
+    yield {
         "family": args.family,
         "params": params,
         "min_var": ideal.min_var,
@@ -212,90 +189,93 @@ def _cmd_hilbert(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         "hp_brute": brute.to_json_dict(),
         "hp_split": split.to_json_dict(),
         "engines_agree": agree,
-    }
-    if args.format == "table":
-        emit(f"family {args.family}  min_var={ideal.min_var}  engines_agree={agree}")
-        for g in ideal.gens:
-            emit(f"  {g}")
-        emit("  hp: " + ",".join(str(c) for c in brute.coeffs))
-    else:
-        emit(_dumps(payload))
-    return EXIT_PASS if agree else EXIT_MISMATCH
+    }, agree
 
 
-def _verify_reports(args: argparse.Namespace) -> Iterator[CheckReport]:
+def _record(report: CheckReport) -> tuple[dict, bool]:
+    return report.to_json_dict(), report.passed
+
+
+def _cmd_verify(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     from . import recursion
     from .context import RunContext
 
     r_values = _parse_range(args.r)
-    i_selector = _parse_i(args.i)
+    i_values = None if args.i == "all" else _parse_range(args.i)
     j_values = _parse_range(args.J)
     n = args.N
     cells = [
         (r, i, J)
         for r in r_values
-        for i in (range(1, r + 1) if i_selector is None else i_selector)
+        for i in (range(1, r + 1) if i_values is None else i_values)
         for J in j_values
     ]
     for r, i, J in cells:
         check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
     ctx = RunContext()  # one per run: every cell shares its series, sweeps and splits
     for r, i, J in cells:
-        yield recursion.verify_main(r, i, J, n, ctx=ctx)
+        yield _record(recursion.verify_main(r, i, J, n, ctx=ctx))
         if args.lemmas:
             ell = r - i + 1
-            yield recursion.verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx)
+            yield _record(recursion.verify_hp_step(r, 2 * J + 1, ell, J, n, ctx=ctx))
             for d in (J + 1, J + 2):
-                yield recursion.verify_hp_expansion(r, i, J, d, n, ctx=ctx)
-                yield recursion.verify_c_expansion(r, ell, J, d, n, ctx=ctx)
-            yield recursion.verify_mn_tables(r, i, J, J + 3, n)
-            yield recursion.verify_limits(r, i, J, n, ctx=ctx)
+                yield _record(recursion.verify_hp_expansion(r, i, J, d, n, ctx=ctx))
+                yield _record(recursion.verify_c_expansion(r, ell, J, d, n, ctx=ctx))
+            yield _record(recursion.verify_mn_tables(r, i, J, J + 3, n))
+            yield _record(recursion.verify_limits(r, i, J, n, ctx=ctx))
 
 
-def _cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
-    all_pass = True
-    for report in _verify_reports(args):
-        if args.format == "table":
-            status = "PASS" if report.passed else "FAIL"
-            emit(f"{status}\t{report.check}\t{_dumps(report.params)}")
-        else:
-            emit(_dumps(report.to_json_dict()))
-        all_pass = all_pass and report.passed
-    return EXIT_PASS if all_pass else EXIT_MISMATCH
+def _table(record: dict) -> str:
+    """The tab-separated view of one record of any subcommand."""
+    if "check" in record:  # a verify report
+        status = "PASS" if record["pass"] else "FAIL"
+        return f"{status}\t{record['check']}\t{_dumps(record['params'])}"
+    if "family" in record:  # a hilbert dump: header, generators, the hp_brute series
+        head = "family {family}  min_var={min_var}  engines_agree={engines_agree}"
+        lines = [head.format_map(record)] + [f"  {g}" for g in record["generators"]]
+        return "\n".join(lines + ["  hp: " + ",".join(record["hp_brute"]["coeffs"])])
+    if "kind" in record:  # a count
+        line = "{kind}\tr={params[r]} i={params[i]} J={params[J]}\tn={n}\t{count}"
+        return line.format_map(record)
+    return "\n".join(f"{j}\t{c}" for j, c in enumerate(record["coeffs"]))  # a series
 
 
 def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
-    """Parse arguments, execute, and return the exit code."""
-    out_stream = stdout if stdout is not None else sys.stdout
+    """Parse arguments, write the subcommand's records, and return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
 
+    render = _table if args.format == "table" else _dumps
+    handler = {
+        "series": _cmd_series,
+        "count": _cmd_count,
+        "hilbert": _cmd_hilbert,
+        "verify": _cmd_verify,
+    }[args.command]
     sink: TextIO | None = None
-    if getattr(args, "out", None):
-        directory, name = os.path.split(os.path.abspath(args.out))
+    if args.out:
+        target = os.path.realpath(args.out)  # write through a symlink, never over it
+        directory, name = os.path.split(target)
         pending = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
         try:
+            if os.path.lexists(target) and not os.path.isfile(target):
+                raise OSError(None, "not a regular file")
             sink = open(pending, "x", encoding="utf-8")
         except OSError as exc:
             _warn(f"error: cannot write --out {args.out}: {exc.strerror}")
             return EXIT_USAGE
     code = EXIT_INTERNAL
     try:
-        def emit(line: str) -> None:
-            target = sink if sink is not None else out_stream
-            target.write(line + "\n")
-            target.flush()
-
-        handler = {
-            "series": _cmd_series,
-            "count": _cmd_count,
-            "hilbert": _cmd_hilbert,
-            "verify": _cmd_verify,
-        }[args.command]
-        code = handler(args, emit)
+        stream = sink if sink is not None else stdout if stdout is not None else sys.stdout
+        mismatch = False
+        for record, passed in handler(args):  # validation runs before the first record
+            stream.write(render(record) + "\n")
+            stream.flush()  # verify streams one report at a time
+            mismatch = mismatch or not passed
+        code = EXIT_MISMATCH if mismatch else EXIT_PASS
     except NonDivisible as exc:
         _warn(f"arithmetic error: {exc}")
         code = EXIT_ARITHMETIC
@@ -313,7 +293,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
             sink.close()
             if code in (EXIT_PASS, EXIT_MISMATCH):
                 try:
-                    os.replace(sink.name, args.out)
+                    os.replace(sink.name, target)
                 except OSError as exc:
                     _warn(f"error: cannot write --out {args.out}: {exc.strerror}")
                     code = EXIT_USAGE

@@ -16,7 +16,7 @@ named tuple (gens, min_var, trunc), made canonical by `MonomialIdeal.build`.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import TruncationTooShort, check_params
 
@@ -33,19 +33,6 @@ class Monomial(NamedTuple):
 
     weight: int
     exps: Exps
-
-    @classmethod
-    def make(cls, exps: Mapping[int, int]) -> Monomial:
-        """Build from a var -> exp mapping; zero exponents are dropped."""
-        items = []
-        for var, exp in sorted(exps.items()):
-            if var < 1:
-                raise ValueError(f"variable index {var} must be >= 1")
-            if exp < 0:
-                raise ValueError(f"negative exponent {exp} on x_{var}")
-            if exp:
-                items.append((var, exp))
-        return cls(sum(var * exp for var, exp in items), tuple(items))
 
     def __str__(self) -> str:
         if not self.exps:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from gga_verify.monomial import Monomial, MonomialIdeal
 from gga_verify.qseries import (
@@ -216,15 +216,28 @@ def forward_dp_series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
+def make_monomial(exps: Mapping[int, int]) -> Monomial:
+    """The monomial of a var -> exp mapping; zero exponents are dropped."""
+    items = []
+    for var, exp in sorted(exps.items()):
+        if var < 1:
+            raise ValueError(f"variable index {var} must be >= 1")
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} on x_{var}")
+        if exp:
+            items.append((var, exp))
+    return Monomial(sum(var * exp for var, exp in items), tuple(items))
+
+
 def monomial_from_parts(parts: Iterable[int]) -> Monomial:
     """The monomial whose exponent of x_k is the multiplicity of part k."""
-    return Monomial.make(Counter(parts))
+    return make_monomial(Counter(parts))
 
 
 def mul_var(m: Monomial, var: int) -> Monomial:
     """m * x_var."""
     exps = dict(m.exps)
-    return Monomial.make(exps | {var: exps.get(var, 0) + 1})
+    return make_monomial(exps | {var: exps.get(var, 0) + 1})
 
 
 def div_var(m: Monomial, var: int) -> Monomial:
@@ -232,7 +245,7 @@ def div_var(m: Monomial, var: int) -> Monomial:
     e = dict(m.exps).get(var, 0)
     if e < 1:
         raise ValueError(f"{m} is not divisible by x_{var}")
-    return Monomial.make(dict(m.exps) | {var: e - 1})
+    return make_monomial(dict(m.exps) | {var: e - 1})
 
 
 def divides(small: Monomial, big: Monomial) -> bool:
@@ -280,7 +293,7 @@ def _gap_families(start: int, r: int, n: int) -> list[dict[int, int]]:
 
 def _literal_minimal(gens: list[dict[int, int]], n: int) -> set[Monomial]:
     """The generators of weight <= n that no other one divides, by pairwise test."""
-    pool = {m for m in map(Monomial.make, gens) if m.weight <= n}
+    pool = {m for m in map(make_monomial, gens) if m.weight <= n}
     return {g for g in pool if not any(h != g and divides(h, g) for h in pool)}
 
 

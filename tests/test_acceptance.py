@@ -22,7 +22,7 @@ from gga_verify.hilbert import (
     hp_notation,
     hp_split,
 )
-from gga_verify.monomial import Monomial, MonomialIdeal
+from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import count_C, count_D, series_E
 from gga_verify.qseries import eq_up_to, series_one
 from gga_verify.recursion import (
@@ -35,7 +35,7 @@ from gga_verify.recursion import (
     verify_mn_tables,
 )
 
-from oracles import restricted_partition_count, transcribed_boundary_ideal, valuation
+from oracles import make_monomial, restricted_partition_count, transcribed_boundary_ideal, valuation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,7 +99,7 @@ def _seeded_random_ideals(count: int, trunc: int) -> list[MonomialIdeal]:
             for var in range(1, 9):
                 if rng.random() < 0.3:
                     exps[var] = rng.randint(1, 3)
-            gens.append(Monomial.make(exps))
+            gens.append(make_monomial(exps))
         ideals.append(MonomialIdeal.build(gens, 1, trunc))
     return ideals
 

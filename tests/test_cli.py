@@ -3,13 +3,14 @@ from __future__ import annotations
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 import gga_verify
-from gga_verify import cli, recursion
+from gga_verify import cli, hilbert, partitions, recursion
 from gga_verify.errors import NonDivisible
 from gga_verify.qseries import TruncatedSeries
 from gga_verify.recursion import CheckReport
@@ -218,6 +219,18 @@ def test_table_format() -> None:
     code, out = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "3", "--format", "table")
     assert code == 0
     assert out.splitlines() == ["0\t1", "1\t1", "2\t1", "3\t1"]
+    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5", "--format", "table")
+    assert code == 0
+    assert out.splitlines() == ["d\tr=2 i=2 J=0\tn=5\t2"]
+    code, out = run_cli("hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "8", "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [
+        "family Lk  min_var=3  engines_agree=True",
+        "  x3^2",
+        "  x3*x4",
+        "  x4^2",
+        "  hp: 1,0,0,1,1,1,1,1,2",
+    ]
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--format", "table")
     assert code == 0
     assert out.startswith("PASS\tmain")
@@ -229,6 +242,44 @@ def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8")
     assert code == 1
     assert json.loads(out)["pass"] is False
+    code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--format", "table")
+    assert (code, out) == (1, 'FAIL\tmain\t{"r":2}\n')
+
+
+def _bumped(series: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries((series.coeffs[0] + 1,) + series.coeffs[1:])
+
+
+def test_exit_one_only_where_two_engines_disagree(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
+    # every engine below returns a wrong value, but only hilbert compares two of them
+    split = hilbert.hp_split
+    monkeypatch.setattr(hilbert, "hp_split", lambda ideal, **kw: _bumped(split(ideal, **kw)))
+    argv = ["hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "8"]
+    code, out = run_cli(*argv)
+    assert code == 1
+    assert json.loads(out)["engines_agree"] is False
+    code, out = run_cli(*argv, "--format", "table")
+    assert code == 1
+    assert out.startswith("family Lk  min_var=3  engines_agree=False\n")
+    target = tmp_path / "hilbert.json"
+    target.write_text("old content\n")
+    assert run_cli(*argv, "--out", str(target)) == (1, "")
+    assert json.loads(target.read_text())["engines_agree"] is False
+    assert list(tmp_path.iterdir()) == [target]
+
+    for name in ("count_C", "count_D", "count_E"):
+        monkeypatch.setattr(partitions, name, lambda *args: -1)
+    monkeypatch.setattr(partitions, "series_E", lambda *args: TruncatedSeries((2, 0)))
+    monkeypatch.setattr(recursion, "c_series", lambda *args: TruncatedSeries((2, 0)))
+    for argv_text in (
+        "series c --r 2 --index 1 --N 1",
+        "series e --r 2 --i 1 --N 1",
+        "count c --r 2 --i 1 --n 5",
+        "count d --r 2 --i 1 --n 5",
+        "count e --r 2 --i 1 --n 5",
+    ):
+        for fmt in ("json", "table"):
+            assert run_cli(*argv_text.split(), "--format", fmt)[0] == 0, (argv_text, fmt)
 
 
 def test_exit_three_on_divisibility_failure(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -345,3 +396,47 @@ def test_out_flag_directory_target_is_usage_error(
     assert capsys.readouterr().err.startswith("error: cannot write --out")
     assert list(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == []
+
+
+def test_out_flag_writes_through_a_symlink(tmp_path) -> None:
+    real = tmp_path / "real.json"
+    real.write_text("old content\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "new.json")
+    argv = ["count", "d", "--r", "2", "--i", "2", "--n", "5", "--out"]
+    assert run_cli(*argv, str(link)) == (0, "")
+    assert run_cli(*argv, str(dangling)) == (0, "")
+    assert link.is_symlink() and dangling.is_symlink()
+    assert json.loads(real.read_text())["count"] == "2"
+    assert json.loads((tmp_path / "new.json").read_text())["count"] == "2"
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_out_flag_refuses_a_fifo(tmp_path, capsys: pytest.CaptureFixture[str]) -> None:
+    fifo = tmp_path / "pipe.json"
+    try:
+        os.mkfifo(fifo)
+    except (AttributeError, OSError):
+        pytest.skip("no named pipes here")
+    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5", "--out", str(fifo))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot write --out {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_out_flag_refuses_a_directory_before_any_computation(
+    monkeypatch: pytest.MonkeyPatch, tmp_path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def computed(*args: object, **kwargs: object) -> CheckReport:
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(recursion, "verify_main", computed)
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out = run_cli("verify", "--r", "2", "--i", "1", "--N", "8", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot write --out {target}: not a regular file\n"
+    assert list(tmp_path.iterdir()) == [target]

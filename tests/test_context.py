@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from gga_verify.context import RunContext
 from gga_verify.hilbert import hp_notation, hp_split
-from gga_verify.monomial import Monomial, MonomialIdeal
+from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import count_D
 from gga_verify.recursion import (
     c_series,
@@ -14,6 +14,8 @@ from gga_verify.recursion import (
     verify_limits,
     verify_main,
 )
+
+from oracles import make_monomial
 
 
 def test_shared_context_matches_fresh_calls() -> None:
@@ -44,7 +46,7 @@ def test_shared_context_matches_fresh_calls_on_the_quotient_side() -> None:
     ctx = RunContext()
     # equal generators in two rings and at three budgets: the split memo must
     # tell the rings apart by min_var and serve each budget its own prefix
-    square = Monomial.make({3: 2})
+    square = make_monomial({3: 2})
     for n in (9, 7, 12):
         for min_var in (1, 3):
             ideal = MonomialIdeal.build([square], min_var, n)

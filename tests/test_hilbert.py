@@ -25,6 +25,7 @@ from gga_verify.qseries import eq_up_to, product_geometric_inverses, series_one
 
 from oracles import (
     classical_partition_count,
+    make_monomial,
     transcribed_boundary_ideal,
     transcribed_family_ideal,
     valuation,
@@ -86,14 +87,14 @@ def test_builders_respect_weight_truncation() -> None:
 
 def test_build_L_k_contains_pure_power_at_n1_zero() -> None:
     ideal = build_L_k(4, 3, 20)
-    assert Monomial.make({4: 3}) in set(ideal.gens)  # x_{2c}^r at n1 = 0
+    assert make_monomial({4: 3}) in set(ideal.gens)  # x_{2c}^r at n1 = 0
     assert ideal.min_var == 4
 
 
 def test_build_L_k_odd_even_anchors() -> None:
     odd_anchor = build_L_k(3, 2, 12)
     even_anchor = build_L_k(4, 2, 12)
-    assert Monomial.make({3: 2}) in set(odd_anchor.gens)
+    assert make_monomial({3: 2}) in set(odd_anchor.gens)
     assert all(g.exps[0][0] >= 4 for g in even_anchor.gens)
 
 
@@ -103,9 +104,9 @@ def test_build_L_k_relates_to_boundary_ideal() -> None:
     r, i, J, n = 3, 2, 1, 20
     family = build_L_k(2 * J + 2, r, n)
     boundary = [
-        Monomial.make({2 * J + 1: 2}),
-        Monomial.make({2 * J + 1: 1, 2 * J + 2: i - 1}),
-        Monomial.make({2 * J + 2: i}),
+        make_monomial({2 * J + 1: 2}),
+        make_monomial({2 * J + 1: 1, 2 * J + 2: i - 1}),
+        make_monomial({2 * J + 2: i}),
     ]
     combined = minimalize(boundary + list(family.gens))
     assert set(combined) == transcribed_boundary_ideal(r, i, J, n)
@@ -120,7 +121,7 @@ def test_build_L_k_ell_equals_boundary_ideal() -> None:
 def test_build_L_k_ell_even_degenerate_ell_one() -> None:
     ideal = build_L_k_ell(2, 1, 3, 15)
     gens = set(ideal.gens)
-    assert Monomial.make({2: 1}) in gens
+    assert make_monomial({2: 1}) in gens
     # HP equals the plain family quotient one variable up
     lhs = hp_split(ideal)
     rhs = hp_notation(3, None, 3, 15)
@@ -146,12 +147,12 @@ def test_hp_brute_free_quotient_counts_partitions() -> None:
 
 
 def test_hp_brute_single_square() -> None:
-    ideal = MonomialIdeal.build([Monomial.make({1: 2})], 1, 2)
+    ideal = MonomialIdeal.build([make_monomial({1: 2})], 1, 2)
     assert hp_brute(ideal).coeffs == (1, 1, 1)
 
 
 def test_hp_brute_unit_ideal_is_zero_series() -> None:
-    unit = MonomialIdeal.build([Monomial.make({})], 1, 6)
+    unit = MonomialIdeal.build([make_monomial({})], 1, 6)
     assert hp_brute(unit).coeffs == (0,) * 7
     assert hp_split(unit).coeffs == (0,) * 7
 
@@ -164,7 +165,7 @@ def test_hp_split_free_quotient_is_geometric_product() -> None:
 
 
 def test_hp_split_single_square_against_brute() -> None:
-    ideal = MonomialIdeal.build([Monomial.make({1: 2})], 1, 12)
+    ideal = MonomialIdeal.build([make_monomial({1: 2})], 1, 12)
     assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
@@ -175,7 +176,7 @@ def _random_ideal(rng: random.Random, trunc: int) -> MonomialIdeal:
         for var in range(1, 9):
             if rng.random() < 0.3:
                 exps[var] = rng.randint(1, 3)
-        gens.append(Monomial.make(exps))
+        gens.append(make_monomial(exps))
     return MonomialIdeal.build(gens, 1, trunc)
 
 
@@ -192,7 +193,7 @@ def ideals(draw) -> MonomialIdeal:
     """An ideal of non-unit generators on six variables from min_var up."""
     min_var = draw(st.integers(1, 3))
     exps = st.dictionaries(st.integers(min_var, min_var + 5), st.integers(1, 3), min_size=1, max_size=3)
-    gens = [Monomial.make(e) for e in draw(st.lists(exps, min_size=1, max_size=8))]
+    gens = [make_monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=8))]
     return MonomialIdeal.build(gens, min_var, draw(st.integers(12, 24)))
 
 
@@ -223,7 +224,7 @@ def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
     ctx = RunContext()
     for n in (24, 40):
         for a in (2, 9, n):
-            gens = [Monomial.make({1: a}), Monomial.make({2: 1, 3: 1})]
+            gens = [make_monomial({1: a}), make_monomial({2: 1, 3: 1})]
             ideal = MonomialIdeal.build(gens, 1, n)
             assert hp_split(ideal, ctx=ctx) == hp_brute(ideal), (a, n)
 
@@ -251,8 +252,8 @@ def test_engines_run_deeper_than_the_recursion_limit() -> None:
     # The colon chain of (x1^300, x2, ..., x300) is about 300 splits deep,
     # and the walk reaches x1^300 in the quotient by (x2, ..., x300).
     n = 300
-    killed = [Monomial.make({v: 1}) for v in range(2, n + 1)]
-    chain = MonomialIdeal.build([Monomial.make({1: n})] + killed, 1, n)
+    killed = [make_monomial({v: 1}) for v in range(2, n + 1)]
+    chain = MonomialIdeal.build([make_monomial({1: n})] + killed, 1, n)
     walk = MonomialIdeal.build(killed, 1, n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -289,7 +290,7 @@ def test_hp_split_handles_killed_variables() -> None:
     # ideals with single-variable generators: the add branch is a fixed point
     # there, so the pivot rule must never select one of them
     ideal = MonomialIdeal.build(
-        [Monomial.make({1: 1}), Monomial.make({2: 2}), Monomial.make({3: 1, 4: 1})], 1, 15
+        [make_monomial({1: 1}), make_monomial({2: 2}), make_monomial({3: 1, 4: 1})], 1, 15
     )
     assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
@@ -298,10 +299,10 @@ def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
     # x1 divides x1^2: unreduced, the add branch on pivot x1 would return the
     # same problem forever, so hp_split must minimalize what it is given
     gens = (
-        Monomial.make({1: 1}),
-        Monomial.make({1: 2}),
-        Monomial.make({2: 1, 3: 1}),
-        Monomial.make({2: 2, 3: 1}),
+        make_monomial({1: 1}),
+        make_monomial({1: 2}),
+        make_monomial({2: 1, 3: 1}),
+        make_monomial({2: 2, 3: 1}),
     )
     ideal = MonomialIdeal(gens, 1, 15)
     assert ideal != MonomialIdeal.build(gens, 1, 15)
@@ -311,10 +312,10 @@ def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
 
 def test_hp_split_terminates_on_dense_repeated_variables() -> None:
     gens = [
-        Monomial.make({1: 5}),
-        Monomial.make({1: 4, 2: 3}),
-        Monomial.make({1: 2, 2: 2, 3: 2}),
-        Monomial.make({2: 4, 4: 1}),
+        make_monomial({1: 5}),
+        make_monomial({1: 4, 2: 3}),
+        make_monomial({1: 2, 2: 2, 3: 2}),
+        make_monomial({2: 4, 4: 1}),
     ]
     ideal = MonomialIdeal.build(gens, 1, 20)
     assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs

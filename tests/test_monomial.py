@@ -23,18 +23,19 @@ from oracles import (
     div_var,
     divides,
     enumerate_partitions,
+    make_monomial,
     monomial_from_parts,
     mul_var,
     standard_monomials,
 )
 
 
-UNIT = Monomial.make({})
+UNIT = make_monomial({})
 
 
 def m(**exps: int) -> Monomial:
     """Shorthand: m(x1=2, x3=1) -> x1^2*x3."""
-    return Monomial.make({int(name[1:]): e for name, e in exps.items()})
+    return make_monomial({int(name[1:]): e for name, e in exps.items()})
 
 
 def _random_monomial(rng: random.Random, max_var: int = 6, max_exp: int = 3) -> Monomial:
@@ -42,7 +43,7 @@ def _random_monomial(rng: random.Random, max_var: int = 6, max_exp: int = 3) -> 
     for var in range(1, max_var + 1):
         if rng.random() < 0.4:
             exps[var] = rng.randint(1, max_exp)
-    return Monomial.make(exps)
+    return make_monomial(exps)
 
 
 def test_weight() -> None:
@@ -52,8 +53,12 @@ def test_weight() -> None:
 
 
 def test_make_drops_zero_exponents() -> None:
-    assert Monomial.make({3: 0, 5: 1}) == m(x5=1)
-    assert Monomial.make({2: 0}) == UNIT
+    assert make_monomial({3: 0, 5: 1}) == m(x5=1)
+    assert make_monomial({2: 0}) == UNIT
+    with pytest.raises(ValueError, match="variable index 0"):
+        make_monomial({0: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        make_monomial({2: -1})
 
 
 def test_from_parts() -> None:
@@ -212,7 +217,7 @@ def ideals(draw, max_trunc: int, span: int) -> MonomialIdeal:
     min_var = draw(st.integers(1, 2))
     variables = st.integers(min_var, min_var + span - 1)
     exps = st.dictionaries(variables, st.integers(1, 3), min_size=1, max_size=3)
-    gens = [Monomial.make(e) for e in draw(st.lists(exps, min_size=1, max_size=6))]
+    gens = [make_monomial(e) for e in draw(st.lists(exps, min_size=1, max_size=6))]
     return MonomialIdeal.build(gens, min_var, draw(st.integers(max_trunc // 2, max_trunc)))
 
 
@@ -232,7 +237,7 @@ def test_colon_and_add_equal_a_fresh_build(ideal: MonomialIdeal) -> None:
         divided = [div_var(g, var) if dict(g.exps).get(var) else g for g in ideal.gens]
         quotient = colon_var(ideal, var)
         assert quotient == MonomialIdeal.build(divided, ideal.min_var, ideal.trunc)
-        enlarged = list(ideal.gens) + [Monomial.make({var: 1})]
+        enlarged = list(ideal.gens) + [make_monomial({var: 1})]
         bigger = add_var(ideal, var)
         assert bigger == MonomialIdeal.build(enlarged, ideal.min_var, ideal.trunc)
         # the kernels build generators themselves: each must carry its true weight
