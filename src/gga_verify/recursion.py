@@ -2,8 +2,10 @@
 
 The product side is a family of series indexed by positive integers: indices
 1..r are congruence-restricted products, and larger indices are defined by a
-subtract-and-deshift recursion level by level.  Writing an index as
-(r-1)*g + i with g >= 1 and 2 <= i <= r, level g is built from level g-1 by
+subtract-and-deshift recursion level by level, run on the theta numerators
+of the congruence products, with their common unit factor divided out once
+at the end (see c_series).  Writing an index as (r-1)*g + i with g >= 1 and
+2 <= i <= r, level g is built from level g-1 by
 
     C[g, 1] = C[g-1, r]            (the two spellings of one index agree)
     C[g, i] = (C[g-1, r-i+1] - C[g-1, r-i+2] - q^(2g(i-1)-1) * C[g, i-1])
@@ -30,18 +32,19 @@ without it makes a fresh context for that call.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
 from .hilbert import hp_notation
-from .partitions import count_C, count_D, series_E
+from .partitions import allowed_parts_C, count_D, series_E
 from .qseries import (
     Mismatch,
     TruncatedSeries,
     div_sparse,
     eq_up_to,
     mul_sparse,
+    product_geometric_inverses,
     q_power,
     series_one,
     series_zero,
@@ -50,7 +53,9 @@ from .qseries import (
 
 
 def _decompose_index(r: int, index: int) -> tuple[int, int]:
-    """Write index > r as (r-1)*g + i with g >= 1 and 2 <= i <= r."""
+    """(0, index) for index <= r, else the (g, i) with index = (r-1)*g + i, 2 <= i <= r."""
+    if index <= r:
+        return 0, index
     i = (index - 2) % (r - 1) + 2
     return (index - i) // (r - 1), i
 
@@ -74,30 +79,21 @@ def _recursion_padding(r: int, g_stop: int, i_stop: int) -> int:
     return -row[i_stop - 1]
 
 
-def _congruence_bases(r: int, indices: Iterable[int], n: int) -> list[TruncatedSeries]:
-    """Congruence products of the given indices in 1..r, through degree n.
-
-    Index j excludes the parts 2 mod 4 and 0, +-a mod 4r with
-    a = 2r - (2j - 1), so its product factors as D * theta_a with
-        D       = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf)
-                = 1 / (q, q^3, q^4; q^4)_inf,
-        theta_a = (q^a, q^(4r-a), q^(4r); q^(4r))_inf.
-    Both theta series are sparse by Jacobi's triple product (Andrews, The
-    Theory of Partitions, ch. 2), so D costs one sparse division and each
-    base one sparse multiply.
-    """
-    d = div_sparse(series_one(n), triple_product_terms(1, 4, n))
-    return [mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, n)) for j in indices]
-
-
 def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> TruncatedSeries:
     """Product-side series of any positive index, certified through degree n.
 
-    Indices 1..r are the congruence products, built from their sparse
-    factorisation (see _congruence_bases).  Larger indices run the level
-    cascade bottom-up on a working truncation padded by its exact loss (see
-    _recursion_padding), so that the certified range covers n after all
-    exact divisions; the last level stops at the entry asked for.  The
+    Index j in 1..r excludes the parts 2 mod 4 and 0, +-a mod 4r with
+    a = 2r - (2j - 1), so its product factors as D * theta_a with
+        D       = (q^2;q^2)_inf / ((q;q)_inf (q^4;q^4)_inf)
+                = 1 / (q, q^3, q^4; q^4)_inf = 1 / theta(1, 4),
+        theta_a = (q^a, q^(4r-a), q^(4r); q^(4r))_inf,
+    each theta series sparse by Jacobi's triple product (Andrews, The Theory
+    of Partitions, ch. 2).  Differences and exact multiplication and division
+    by q^w commute with multiplying by the unit D, so every index runs the
+    level cascade on the theta numerators, index j <= r being entry j of
+    level 0, at a working truncation padded by its exact loss (see
+    _recursion_padding); the last level stops at the entry asked for, and
+    one sparse division by theta(1, 4) through degree n applies D.  The
     result is kept in `ctx` under (r, index, n).
     """
     check_params(r=r, index=index, n=n)
@@ -109,12 +105,12 @@ def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> Tr
 
 
 def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
-    if index <= r:
-        return _congruence_bases(r, [index], n)[0]
-
     g_stop, i_stop = _decompose_index(r, index)
     work = n + _recursion_padding(r, g_stop, i_stop)
-    row = _congruence_bases(r, range(1, r + 1), work)
+    row: list = [None] * r  # level 0: the theta numerators; index <= r reads only its own
+    for j in range(1, r + 1) if g_stop else [i_stop]:
+        theta = triple_product_terms(2 * r - (2 * j - 1), 4 * r, work)
+        row[j - 1] = mul_sparse(series_one(work), theta)
     for g in range(1, g_stop + 1):
         new = [row[r - 1]]
         for i in range(2, (i_stop if g == g_stop else r) + 1):
@@ -122,7 +118,7 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
             numerator = row[r - i] - row[r - i + 1] - new[i - 2].mul_q_pow(w - 1)
             new.append(numerator.div_q_pow(w))
         row = new
-    return row[i_stop - 1].truncated(n)
+    return div_sparse(row[i_stop - 1].truncated(n), triple_product_terms(1, 4, n))
 
 
 class CoeffTable(NamedTuple):
@@ -368,7 +364,8 @@ def verify_limits(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = No
 def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None) -> CheckReport:
     """Three-way equality of product side, quotient side, and gap side.
 
-    All three series agree through degree n; at J = 0 the congruence counts
+    All three series agree through degree n; at J = 0 the congruence counts,
+    one direct product expansion apart from the theta cascade of c_series,
     are additionally compared against the level-zero gap counts degree by
     degree.
     """
@@ -385,7 +382,7 @@ def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None
         ("product_vs_quotient", product_side, quotient_side),
     ]
     if J == 0:
-        congruence = TruncatedSeries(tuple(count_C(r, i, m) for m in range(n + 1)))
+        congruence = product_geometric_inverses(allowed_parts_C(r, ell, n), n)
         level_zero = TruncatedSeries(tuple(count_D(r, i, m, ctx=ctx) for m in range(n + 1)))
         clauses.append(("congruence_vs_gap_counts", congruence, level_zero))
     return _run_clauses("main", params, n, clauses)

@@ -4,12 +4,16 @@ A mutant replaces one token of a side's source, is compiled into that
 side's module namespace, and is patched in where the verifiers bind it.
 The verifier must then report a failure that names the expected clause
 and a witness at a low degree, and the CLI must exit 1 (an identity
-mismatched), never 3 or 4.  The quotient side's family ideals are also
-cached for the life of the process, so its rows empty that cache before
-and after they run.  A mutant that breaks the product-side cascade's
-own exact division is caught before any identity is compared: it raises
-`NonDivisible` and the CLI exits 3.  See DeMillo, Lipton and Sayward, "Hints
-on test data selection", IEEE Computer 11(4), 1978.
+mismatched), never 3 or 4.  Besides the three sides, rows reach the final
+division by theta(1, 4) that applies D to every product series, the
+coefficient tables' initial conditions, and the literal level-zero oracle;
+each of these names the exact set of (check, clause) pairs it fails.  The
+quotient side's family ideals are also cached for the life of the process,
+so its rows empty that cache before and after they run.  A mutant that
+breaks the product-side cascade's own exact division is caught before any
+identity is compared: it raises `NonDivisible` and the CLI exits 3.  See
+DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
+11(4), 1978.
 """
 
 from __future__ import annotations
@@ -42,6 +46,34 @@ QUOTIENT_SIDE_MUTANTS = [
     ("first staircase from s = 2", "_step_gens", "range(1, cap)", "range(2, cap)"),
     ("second staircase one short", "_step_gens", "range(cap - 1)", "range(cap - 2)"),
     ("cap ell at j = k only", "build_L_k_ell", "j - k <= k % 2", "j - k < k % 2"),
+]
+
+# (name, module, function, token in its source, its replacement,
+#  the (check, clause) pairs that fail on LEMMAS_ARGV, clause indices dropped)
+VERIFIER_MUTANTS = [
+    (
+        "D multiplied, not divided", recursion, "_product_series", "div_sparse(", "mul_sparse(",
+        {("main", "product_vs_gap"), ("limits", "product_tail_is_one")},
+    ),
+    (
+        "M pivot one up", recursion, "coeff_table", "else r - anchor + 1", "else r - anchor + 2",
+        {("mn_tables", "entry"), ("c_expansion", "expansion"),
+         ("limits", "m_stabilizes_to_product")},
+    ),
+    (
+        "pivot initial exponent one level up", recursion, "coeff_table",
+        "= q_power(2 * d0 * (j - 1), n)", "= q_power(2 * d0 * j, n)",
+        {("hp_expansion", "expansion"), ("c_expansion", "expansion"),
+         ("limits", "m_stabilizes_to_product")},
+    ),
+    (
+        "gap floor one up", partitions, "_least_gap_r", "v - 2 + (v & 1)", "v - 1 + (v & 1)",
+        {("main", "congruence_vs_gap_counts")},
+    ),
+    (
+        "gap floor one down", partitions, "_least_gap_r", "v - 2 + (v & 1)", "v - 3 + (v & 1)",
+        {("main", "congruence_vs_gap_counts")},
+    ),
 ]
 
 
@@ -118,14 +150,33 @@ def test_quotient_side_mutant_is_caught(monkeypatch, name: str, token: str, repl
     finally:
         hilbert._hp_notation_cached.cache_clear()
 
+
+@pytest.mark.parametrize(
+    "module, name, token, replacement, pairs",
+    [m[1:] for m in VERIFIER_MUTANTS],
+    ids=[m[0] for m in VERIFIER_MUTANTS],
+)
+def test_verifier_mutant_is_caught(
+    monkeypatch, module, name: str, token: str, replacement: str, pairs: set
+) -> None:
+    monkeypatch.setattr(module, name, mutant(getattr(module, name), token, replacement))
+    code, reports = run_verify(LEMMAS_ARGV)
+    assert code == 1
+    failed = [report for report in reports if not report["pass"]]
+    caught = {(report["check"], report["params"]["clause"].partition("[")[0]) for report in failed}
+    assert caught == pairs
+    for report in failed:
+        assert report["first_mismatch"]["degree"] <= 20
+
+
 def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
     # theta(3, 4) is theta(1, 4) again, so the mutant changes the modulus
     swapped = mutant(
-        recursion._congruence_bases,
+        recursion._product_series,
         "triple_product_terms(1, 4, n)",
         "triple_product_terms(1, 8, n)",
     )
-    monkeypatch.setattr(recursion, "_congruence_bases", swapped)
+    monkeypatch.setattr(recursion, "_product_series", swapped)
     code, reports = run_verify(LEMMAS_ARGV)
     assert code == 1
     clauses = {"main": "product_vs_gap", "limits": "product_tail_is_one"}
