@@ -212,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     ]
     for r, i, J in cells:
         check_params(r=r, i=i, J=J, N=n)  # fail fast before any computation
-    ctx = RunContext()  # one per run: every cell shares its series, sweeps and splits
+    ctx = RunContext()  # one per run: every cell shares its series, walks and splits
     for r, i, J in cells:
         yield _record(recursion.verify_main(r, i, J, n, ctx=ctx))
         if args.lemmas:

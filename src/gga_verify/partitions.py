@@ -10,63 +10,24 @@ Three families of partitions of n are counted here:
   2J, and at most i-1 parts equal to 2J+1 or 2J+2.
 
 The generalized gap side is one pass over the part values in Andrews'
-frequency form (`series_E`).  `count_D` reads the difference conditions
-literally on every partition of n, listed smallest part first by one
-iterative generator.  One sweep per weight records, for each partition, the
-smallest r whose conditions it meets and its number of parts <= 2; that
-histogram answers every (r, i) cell, and a `RunContext` keeps it for the
-rest of the run.  The oracles (enumerators, the per-cell filter, the pruned
-gap-side walk and the forward pass over the weight) live in
-`tests/oracles.py`.  The congruence side is a plain product expansion.  The
-sides run on unrelated code paths on purpose, so that agreement is evidence
-rather than tautology.
+frequency form (`series_E`).  `series_D` reads the difference conditions
+literally: one pruned walk per r lists every admissible partition of weight
+<= n, smallest part first, and counts it by its number of parts <= 2; that
+table answers every i, and a `RunContext` keeps it for the rest of the run.
+The oracles (enumerators, the per-cell filter, the pruned gap-side walk at
+level J and the forward pass over the weight) live in `tests/oracles.py`.
+The congruence side is a plain product expansion.  The sides run on
+unrelated code paths on purpose, so that agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, Sequence
 
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
 from .qseries import TruncatedSeries, product_geometric_inverses, series_one, series_zero
-
-
-def _ascending_partitions(n: int, min_part: int) -> Iterator[list[int]]:
-    """Yield every partition of n with all parts >= min_part, smallest part first.
-
-    This is Kelleher and O'Sullivan's `accel_asc` ("Generating All Partitions:
-    A Comparison of Two Encodings", arXiv:0909.2331) started at a minimum
-    part: amortized O(1) work per partition, no recursion, and no validation.
-    Each yield is a fresh list.  Callers check n >= 0 and min_part >= 1.
-    """
-    if n == 0:
-        yield []
-        return
-    if n < min_part:
-        return
-    a = [0] * (n + 1)
-    a[0] = min_part - 1
-    k = 1
-    y = n - min_part
-    while k:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        last = k + 1
-        while x <= y:
-            a[k] = x
-            a[last] = y
-            yield a[: k + 2]
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[: k + 1]
 
 
 def allowed_parts_C(r: int, index: int, n: int) -> list[int]:
@@ -91,65 +52,65 @@ def count_C(r: int, i: int, n: int) -> int:
     return product_geometric_inverses(parts, n)[n]
 
 
-def _least_gap_r(parts: Sequence[int]) -> int:
-    """Smallest r >= 2 whose difference conditions the ascending parts meet, else 0.
+def _level_zero_walk(r: int, n: int) -> list[list[int]]:
+    """Partitions of weight <= n meeting the difference conditions at r, by parts <= 2.
 
+    Row s, column w counts the admissible partitions of w with s parts <= 2.
     The conditions: no odd value is repeated, and of two parts r-1 positions
     apart the larger exceeds the smaller by >= 2 if it is odd and >= 3 if it
-    is even.  A repeated odd part fails at every r.  For the rest, the pair
-    (parts[k], parts[j]) with k < j fails exactly when parts[k] >= floor, where
-    floor is parts[j] - 1 for an odd and parts[j] - 2 for an even parts[j].
-    With lo the first index at or above that floor, the failing pairs ending
-    at j are those at distance 1 .. j - lo, so the conditions at r hold
-    exactly when r - 1 > j - lo for every j.  The floor never decreases along
-    the parts, so lo only moves forward and one pass finds every lo.
+    is even.  They are prefix-closed on ascending parts, so the walk appends
+    parts smallest first on an explicit stack, checks only the appended part
+    against its predecessor and the part r-1 places back, and never extends
+    a prefix that fails.  Each admissible partition is one node.  r parts
+    never fit in {1, 2}, so r rows hold every count.
     """
-    prev = 0
-    for v in parts:
-        if v == prev and v & 1:
-            return 0
-        prev = v
-    lo = widest = 0
-    for j, v in enumerate(parts):
-        floor = v - 2 + (v & 1)
-        while parts[lo] < floor:
-            lo += 1
-        if j - lo > widest:
-            widest = j - lo
-    return widest + 2
+    rows = [[0] * (n + 1) for _ in range(r)]
+    rows[0][0] = 1
+    parts: list[int] = []
+    nexts = [1]  # the next candidate part at each depth
+    weight = small = 0
+    back = r - 1
+    while nexts:
+        v = nexts[-1]
+        if weight + v > n:
+            nexts.pop()
+            if parts:
+                u = parts.pop()
+                weight -= u
+                small -= u <= 2
+            continue
+        nexts[-1] = v + 1
+        if v & 1 and parts and parts[-1] == v:
+            continue
+        if len(parts) >= back and parts[-back] >= v - 2 + (v & 1):
+            continue
+        parts.append(v)
+        weight += v
+        small += v <= 2
+        rows[small][weight] += 1
+        nexts.append(v)
+    return rows
 
 
-def _level_zero_histogram(n: int) -> dict[tuple[int, int], int]:
-    """Partitions of n meeting the conditions at some r, by (least r, parts <= 2)."""
-    histogram: dict[tuple[int, int], int] = {}
-    for parts in _ascending_partitions(n, 1):
-        if len(parts) > 1 and parts[1] == 1:
-            continue  # a repeated 1, as most partitions have, fails at every r
-        least = _least_gap_r(parts)
-        if least:
-            key = (least, bisect_right(parts, 2))
-            histogram[key] = histogram.get(key, 0) + 1
-    return histogram
+def series_D(r: int, i: int, n: int, *, ctx: RunContext | None = None) -> TruncatedSeries:
+    """Level-zero gap-side counts through degree n, by the difference conditions.
+
+    Deliberately the literal path: every admissible partition is read, one
+    by one.  It is the oracle that the gap-side pass and the algebra engines
+    are measured against, so it stays an enumeration and shares nothing with
+    `series_E`.  A partition counts at (r, i) when it has at most i-1 parts
+    <= 2; one walk per (r, n), kept in `ctx`, answers every i.
+    """
+    check_params(r=r, i=i, n=n)
+    walks = (RunContext() if ctx is None else ctx).level_zero
+    if (r, n) not in walks:
+        walks[r, n] = _level_zero_walk(r, n)
+    return TruncatedSeries(tuple(map(sum, zip(*walks[r, n][:i]))))
 
 
 def count_D(r: int, i: int, n: int, *, ctx: RunContext | None = None) -> int:
-    """Gap-side count at level zero, by the difference conditions on every partition.
-
-    Deliberately the dumb path: every partition of n is read, with no
-    pruning.  It is the oracle that the gap-side DP and the algebra engines
-    are measured against.  The conditions only get easier as r grows, so a
-    partition is counted at (r, i) when its least r is at most r and it has
-    at most i-1 parts <= 2; the sweep of n is shared through `ctx`.
-    """
-    check_params(r=r, i=i, n=n)
-    level_zero = (RunContext() if ctx is None else ctx).level_zero
-    if n not in level_zero:
-        level_zero[n] = _level_zero_histogram(n)
-    return sum(
-        count
-        for (least, small), count in level_zero[n].items()
-        if least <= r and small < i
-    )
+    """Level-zero gap-side count: the coefficient of q^n in `series_D`."""
+    return series_D(r, i, n, ctx=ctx)[n]
 
 
 def count_E(r: int, i: int, J: int, n: int) -> int:

@@ -24,9 +24,9 @@ scale means a transcription bug, and diagnosis needs the witness coefficient.
 
 The cells of one run share work through a `RunContext`: `c_series` keeps
 each product-side series under (r, index, n), so the expansion terms and the
-limit tail that several cells name are built once, `count_D` keeps one
-level-zero histogram per weight, and `hp_split` keeps the quotient side's
-solved sub-problems.  Every verifier takes the context as `ctx`; one called
+limit tail that several cells name are built once, `series_D` keeps one
+level-zero walk per r, and `hp_split` keeps the quotient side's solved
+sub-problems.  Every verifier takes the context as `ctx`; one called
 without it makes a fresh context for that call.
 """
 
@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple
 from .context import RunContext
 from .errors import ParamOutOfRange, check_params
 from .hilbert import hp_notation
-from .partitions import allowed_parts_C, count_D, series_E
+from .partitions import allowed_parts_C, series_D, series_E
 from .qseries import (
     Mismatch,
     TruncatedSeries,
@@ -383,6 +383,5 @@ def verify_main(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = None
     ]
     if J == 0:
         congruence = product_geometric_inverses(allowed_parts_C(r, ell, n), n)
-        level_zero = TruncatedSeries(tuple(count_D(r, i, m, ctx=ctx) for m in range(n + 1)))
-        clauses.append(("congruence_vs_gap_counts", congruence, level_zero))
+        clauses.append(("congruence_vs_gap_counts", congruence, series_D(r, i, n, ctx=ctx)))
     return _run_clauses("main", params, n, clauses)

@@ -1,16 +1,16 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately written against different algorithms than the
-package: recursive enumeration instead of the package's iterative generator,
-the difference conditions tested cell by cell instead of the package's one
-sweep for the least r of every partition, a pruned depth-first walk over
-whole partitions and a forward pass over the weight that appends one part at
-a time instead of the package's pass over part values in Andrews' frequency
-form for the gap side, a filter over every partition of each weight instead
-of the package's walk over the standard monomials only, the classical
-pentagonal-number recurrence instead of product expansion, the product
-cascade with fixed-truncation shifts on pentagonal bases instead of the
-package's exact q-power multiplication on one theta series, and literal
+package: recursive enumeration of every partition, with the difference
+conditions tested cell by cell, instead of the package's one iterative
+pruned walk per r over the admissible partitions only; a pruned depth-first
+walk over whole partitions and a forward pass over the weight that appends
+one part at a time instead of the package's pass over part values in
+Andrews' frequency form for the gap side; a filter over every partition of
+each weight instead of the package's walk over the standard monomials only;
+the classical pentagonal-number recurrence instead of product expansion; the
+product cascade with fixed-truncation shifts on pentagonal bases instead of
+the package's exact q-power multiplication on one theta series; and literal
 restatements of generator families.  Agreement between these and the
 package is evidence, not circularity.
 """
@@ -117,7 +117,7 @@ def gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
 
 
 def admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
-    """Level-zero gap-side admissibility: the per-cell filter behind `count_D`."""
+    """Level-zero gap-side admissibility: the per-cell filter that checks `count_D`."""
     if not gap_conditions_ok(parts, r):
         return False
     return sum(1 for p in parts if p <= 2) <= i - 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 from gga_verify.context import RunContext
 from gga_verify.hilbert import hp_notation, hp_split
 from gga_verify.monomial import MonomialIdeal
-from gga_verify.partitions import count_D
+from gga_verify.partitions import count_D, series_D
 from gga_verify.recursion import (
     c_series,
     verify_c_expansion,
@@ -78,4 +78,6 @@ def test_context_keeps_one_entry_per_key() -> None:
     assert list(ctx.products) == [(3, 8, 12)]
     count_D(3, 2, 9, ctx=ctx)
     count_D(2, 1, 9, ctx=ctx)
-    assert list(ctx.level_zero) == [9]
+    assert list(ctx.level_zero) == [(3, 9), (2, 9)]
+    series_D(3, 3, 9, ctx=ctx)  # a second i at r = 3 reads the same walk
+    assert list(ctx.level_zero) == [(3, 9), (2, 9)]

@@ -48,7 +48,7 @@ QUOTIENT_SIDE_MUTANTS = [
     ("cap ell at j = k only", "build_L_k_ell", "j - k <= k % 2", "j - k < k % 2"),
 ]
 
-# (name, module, function, token in its source, its replacement,
+# (name, module the function is patched on, function, token in its source, its replacement,
 #  the (check, clause) pairs that fail on LEMMAS_ARGV, clause indices dropped)
 VERIFIER_MUTANTS = [
     (
@@ -67,11 +67,21 @@ VERIFIER_MUTANTS = [
          ("limits", "m_stabilizes_to_product")},
     ),
     (
-        "gap floor one up", partitions, "_least_gap_r", "v - 2 + (v & 1)", "v - 1 + (v & 1)",
+        "gap floor one up", partitions, "_level_zero_walk",
+        ">= v - 2 + (v & 1)", ">= v - 1 + (v & 1)",
         {("main", "congruence_vs_gap_counts")},
     ),
     (
-        "gap floor one down", partitions, "_least_gap_r", "v - 2 + (v & 1)", "v - 3 + (v & 1)",
+        "gap floor one down", partitions, "_level_zero_walk",
+        ">= v - 2 + (v & 1)", ">= v - 3 + (v & 1)",
+        {("main", "congruence_vs_gap_counts")},
+    ),
+    (
+        "odd repeat allowed", partitions, "_level_zero_walk", "v & 1 and parts", "v & 0 and parts",
+        {("main", "congruence_vs_gap_counts")},
+    ),
+    (
+        "i cap one high", recursion, "series_D", "[:i]", "[: i + 1]",
         {("main", "congruence_vs_gap_counts")},
     ),
 ]

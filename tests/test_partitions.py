@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.partitions import (
-    _ascending_partitions,
-    _least_gap_r,
     allowed_parts_C,
     count_C,
     count_D,
     count_E,
+    series_D,
     series_E,
 )
 from gga_verify.recursion import c_series
@@ -143,6 +142,12 @@ def test_count_E_at_level_zero_equals_count_D() -> None:
                 assert count_E(r, i, 0, n) == count_D(r, i, n), (r, i, n)
 
 
+def test_series_D_equals_series_E_at_level_zero() -> None:
+    # the literal walk against Andrews' frequency form, one walk for every i
+    for i in range(1, 5):
+        assert series_D(4, i, 50) == series_E(4, i, 0, 50), i
+
+
 def test_count_E_monotone_in_i() -> None:
     for r in (2, 3):
         for J in (0, 1):
@@ -175,7 +180,6 @@ def test_gap_conditions_vacuous_for_short_partitions() -> None:
             )
             boundary_ok = sum(1 for x in p.parts if x <= 2) <= i - 1
             assert admissible_D(p.parts, r, i) == (no_odd_repeat and boundary_ok)
-            assert (0 < _least_gap_r(p.parts[::-1]) <= r) == no_odd_repeat
 
 
 def test_series_E_examples() -> None:
@@ -190,17 +194,6 @@ def test_series_E_coefficients_are_counts() -> None:
         assert s[n] == count_E(3, 2, 1, n)
 
 
-def test_ascending_partitions_match_recursive_oracle() -> None:
-    # every minimum part from 1 to n + 1, so n = 0 and 0 < n < min_part are covered
-    for n in range(26):
-        for min_part in range(1, n + 2):
-            got = sorted(tuple(reversed(a)) for a in _ascending_partitions(n, min_part))
-            assert got == sorted(descending_partitions(n, min_part)), (n, min_part)
-            assert all(a == sorted(a) for a in _ascending_partitions(n, min_part))
-    assert list(_ascending_partitions(0, 3)) == [[]]
-    assert list(_ascending_partitions(2, 3)) == []
-
-
 def test_count_D_matches_descending_filter_oracle() -> None:
     streams = [list(descending_partitions(n)) for n in range(23)]
     for r in range(2, 7):
@@ -208,33 +201,6 @@ def test_count_D_matches_descending_filter_oracle() -> None:
             for n, stream in enumerate(streams):
                 brute = sum(admissible_D(p, r, i) for p in stream)
                 assert count_D(r, i, n) == brute, (r, i, n)
-
-
-def test_least_gap_r_examples() -> None:
-    assert _least_gap_r([]) == 2
-    assert _least_gap_r([1, 1]) == 0  # a repeated odd part fails at every r
-    assert _least_gap_r([2, 3, 3, 8]) == 0
-    assert _least_gap_r([1, 4]) == 2
-    assert _least_gap_r([1, 3]) == 2
-    assert _least_gap_r([2, 3]) == 3  # 3 - 2 < 2, and the pair is one apart
-    assert _least_gap_r([2, 2, 2]) == 4  # more than the number of parts
-    assert _least_gap_r([2, 4, 4, 6]) == 4
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(
-    parts=st.lists(st.integers(1, 12), max_size=10)
-    | st.lists(st.sampled_from([2, 4, 6]), max_size=10)
-    | st.lists(st.integers(1, 5), min_size=2, max_size=6).map(lambda a: a + [a[0] | 1] * 2)
-)
-def test_least_gap_r_is_the_least_r_of_the_literal_rule(parts: list[int]) -> None:
-    # the draws include runs of one even value (least r above the number of
-    # parts) and a forced repeated odd part (never admissible)
-    parts = sorted(parts)
-    least = _least_gap_r(parts)
-    for r in range(2, len(parts) + 3):
-        assert gap_conditions_ok(parts, r) == (0 < least <= r), (parts, r)
-    assert least <= max(2, len(parts) + 1)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ from gga_verify.partitions import (
     count_C,
     count_D,
     count_E,
+    series_D,
     series_E,
 )
 from gga_verify.qseries import (
@@ -55,6 +56,7 @@ VALID = {
     count_C: dict(r=2, i=1, n=5),
     count_D: dict(r=2, i=1, n=5),
     count_E: dict(r=2, i=1, J=0, n=5),
+    series_D: dict(r=2, i=1, n=5),
     series_E: dict(r=2, i=1, J=0, n=5),
     build_L_riJ: dict(r=2, i=1, J=0, n=8),
     build_L_k: dict(k=1, r=2, n=8),
