@@ -22,10 +22,11 @@ class RunContext:
     level_zero: `partitions._level_zero_walk(r, n)`, keyed by (r, n): row s
                 counts the admissible partitions by weight that have s
                 parts <= 2, one walk answering `series_D` at every i;
-    splits:     `hp_split` sub-problem series (coefficient tuples), keyed by
-                (min_var, generators), the generators a sorted tuple of
-                `Monomial`; each entry is the longest series computed for
-                its key, and a smaller budget reads a prefix of it.
+    splits:     `hilbert._split` sub-problem series (coefficient tuples), keyed
+                by (pivot p, the sorted `Monomial` generators on x_p and up,
+                r, family tail start s), s None when no tail is implicit;
+                each entry is the longest series computed for its key, and
+                a smaller budget reads a prefix of it.
     """
 
     def __init__(self) -> None:

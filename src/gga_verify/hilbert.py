@@ -6,16 +6,26 @@ a monomial ideal, truncated at degree N:
 * hp_brute counts standard monomials (the oracle).  They form an order
   ideal, so one walk grows them part by part and never extends a monomial
   the ideal contains; the p(n) monomials of each weight are never listed.
-* hp_split runs the splitting identity
-      HP(A/I) = q^w * HP(A/(I : f)) + HP(A/(I, f))
-  for a pivot variable f = x_k of weight w = k (Bayer and Stillman,
-  "Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).  The
-  colon and the sum change at most the generators that contain f, so each
-  step keeps the generators canonical without re-minimalizing them.  It
-  keeps its memo in the run context (`RunContext.splits`), keyed by the
-  ambient ring's min_var and the sorted tuple of `Monomial` generators, so
-  the cells of one run share their sub-problems; each key holds the longest
-  series computed for it, and a smaller budget reads a prefix.
+* `_split`, the engine of hp_split and hp_notation, runs the splitting
+      HP(A/I) = q^p * HP(A/(I : x_p)) + HP(A/(I, x_p))
+  (Bayer and Stillman, "Computation of Hilbert functions", J. Symbolic
+  Comput. 14, 1992) on the pivot x_p, the smallest variable of a generator
+  that is not a single variable; both branches shrink the total degree of
+  those generators, so it ends.  Each variable below p is killed or free,
+  so the series is a lift, 1/(1 - q^v) over the free v below p, times the
+  series of the generators on x_p and up.  A sub-problem is keyed by
+  (p, those generators, r, tail start s) in `RunContext.splits`, with no
+  budget: generators above a budget are never kept, so each key keeps its
+  longest series and a smaller budget reads a prefix.  The kernels
+  monomial._colon and _add change only the generators that contain x_p.
+  For a family ideal the steps from s on stay implicit, and the pivot is
+  at most s.  A split on x_p changes only steps p-2..p, and a generator
+  that loses its last x_p lives on x_{p+1} and x_{p+2}, so it divides only
+  generators of steps up to p+2: steps s..p+2 join the head before the
+  split, and s moves to p+3.  The lift is the Hilbert series of the free
+  variables, not a count of partitions: the engine stays colon/add
+  arithmetic on generators, while a transfer matrix over part
+  multiplicities would compute the gap side's `series_E` again.
 
 Both engines keep their own stack, so neither is bounded by the
 interpreter's recursion limit.
@@ -34,8 +44,8 @@ from functools import lru_cache
 
 from .context import RunContext
 from .errors import check_params
-from .monomial import Monomial, MonomialIdeal, _add, _colon, _standard_counts
-from .qseries import TruncatedSeries, product_geometric_inverses
+from .monomial import Monomial, MonomialIdeal, _add, _colon, _standard_counts, minimalize
+from .qseries import TruncatedSeries
 
 
 def _step_gens(j: int, cap: int, r: int) -> list[Monomial]:
@@ -69,8 +79,13 @@ def build_L_k_ell(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
     check_params(r=r, k=k, ell=ell, n=n)
     gens: list[Monomial] = []
     for j in range(k, n + 1):
-        gens += _step_gens(j, ell if j - k <= k % 2 else r, r)
+        gens += _step_gens(j, _cap(j, k, ell, r), r)
     return MonomialIdeal.build(gens, k, n)
+
+
+def _cap(j: int, k: int, ell: int, r: int) -> int:
+    """The cap of step j in the family at k: ell at j = k, and at j = k+1 for odd k."""
+    return ell if j - k <= k % 2 else r
 
 
 def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
@@ -98,101 +113,77 @@ def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
     return TruncatedSeries(tuple(_standard_counts(ideal, ideal.trunc)))
 
 
-def _pivot_var(gens: tuple[Monomial, ...]) -> int | None:
-    """Smallest variable occurring in a generator that is not a single variable.
-
-    Single-variable generators only mark killed variables: splitting on one
-    of them is a fixed point of the (I, f) branch and must be excluded for
-    the recursion to terminate.  By minimality a killed variable occurs in no
-    other generator, so the pivot never collides with one.
-    """
-    best: int | None = None
-    for _, exps in gens:
-        if len(exps) > 1 or exps[0][1] > 1:
-            v = exps[0][0]
-            if best is None or v < best:
-                best = v
-    return best
-
-
-def _free_series(min_var: int, gens: tuple[Monomial, ...], budget: int) -> tuple[int, ...]:
-    """Series of the quotient by the single variables `gens`: 1/(1 - q^v) over the others."""
-    killed = {exps[0][0] for _, exps in gens}
-    parts = [v for v in range(min_var, budget + 1) if v not in killed]
-    return product_geometric_inverses(parts, budget).coeffs
-
-
 def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient by `ideal`, by colon/add splitting.
 
-    Each step picks the pivot x_k with k the smallest variable index in any
-    non-simple minimal generator and splits the quotient along it.  The
-    recursion terminates because both branches strictly shrink the total
-    degree of non-simple generators: the colon branch lowers the pivot's
-    exponent in at least one of them, and the add branch absorbs every
-    generator that contains the pivot.  The shift budget is bounded by the
-    truncation, so colon chains are pruned once their accumulated weight
-    exceeds the degrees still being certified: the colon ideal keeps the
-    generators within the smaller budget, which, as a subset of a minimal
-    set, is still minimal.
-
-    The input is canonicalized once, so a hand-built non-minimal ideal
-    cannot stall the recursion; every sub-problem is a sorted tuple of
-    `Monomial` generators, made by the kernels monomial._colon and _add.
-    Solved sub-problems go to `ctx.splits` under (min_var, generators), so
-    every call with the same context shares them; a call without one gets a
-    fresh context.  The key needs no budget: a sub-problem's generators
-    exclude every one above its budget, so equal keys are one ideal, whose
-    series at a larger budget serves a smaller one as a prefix.  A key is
-    recomputed only when its entry is too short, so it keeps the longest.
-    The recursion runs on an explicit stack, so any colon chain fits.
+    The input is canonicalized once, so a hand-built non-minimal ideal cannot stall
+    the recursion; `_split` runs it with no tail on the memo of `ctx` (or a fresh one).
     """
     canonical = MonomialIdeal.build(ideal.gens, ideal.min_var, ideal.trunc)
-    return _split_canonical(canonical, (RunContext() if ctx is None else ctx).splits)
+    splits = (RunContext() if ctx is None else ctx).splits
+    return _split(canonical.gens, canonical.min_var, canonical.trunc, splits)
 
 
-def _split_canonical(ideal: MonomialIdeal, splits: dict[tuple, tuple[int, ...]]) -> TruncatedSeries:
-    """The engine of hp_split, on an ideal whose generators are already canonical."""
-    min_var = ideal.min_var
-    n = ideal.trunc
-    # A task (gens, budget, None) solves a sub-problem; (gens, budget, pivot)
-    # combines its two solved branches.  `solved` holds the series of
-    # finished sub-problems, the most recent last.
-    todo = [(ideal.gens, n, None)]
+def _split(
+    head: tuple, min_var: int, n: int, splits: dict, r: int = 0, tail: int | None = None
+) -> TruncatedSeries:
+    """Series through degree n of the quotient of the ring on x_{min_var}, ... by the
+    canonical `head` and, when `tail` is set, the steps `_step_gens(j, r, r)` of every
+    j >= tail (see the module docstring)."""
+    # A task (ring, head, tail, budget, None) solves a sub-problem; one ending in a
+    # key combines the two solved branches of its split on key[0] and lifts the sum.
+    # `solved` holds the series of finished sub-problems, the latest last.
+    todo = [(min_var, head, tail, n, None)]
     solved: list[tuple[int, ...]] = []
     while todo:
-        gens, budget, pivot = todo.pop()
-        if pivot is not None:
+        m, gens, s, budget, combine = todo.pop()
+        if combine is not None:
             low = solved.pop()
             out = list(solved.pop())
             for j, c in enumerate(low):
-                out[j + pivot] += c
-            splits[(min_var, gens)] = result = tuple(out)
-            solved.append(result)
+                out[j + combine[0]] += c
+            splits[combine] = tuple(out)
+            solved.append(_lift(out, m, combine[0], gens))
             continue
         if gens and not gens[0].weight:
             solved.append((0,) * (budget + 1))
             continue
-        key = (min_var, gens)
+        if s is not None and 2 * s > budget:
+            s = None  # every step from s on weighs more than the budget
+        # a generator is a single variable exactly when it weighs its first variable
+        p = min((g.exps[0][0] for g in gens if g.weight > g.exps[0][0]), default=budget + 1)
+        p = p if s is None else min(p, s)
+        if p > budget:
+            solved.append(_lift([1] + [0] * budget, m, p, gens))
+            continue
+        upper = tuple(g for g in gens if g.exps[0][0] >= p)
+        key = (p, upper, r, s)
         cached = splits.get(key)
         if cached is not None and len(cached) > budget:
-            solved.append(cached[: budget + 1])
+            solved.append(_lift(list(cached[: budget + 1]), m, p, gens))
             continue
-        pivot = _pivot_var(gens)
-        if pivot is None:
-            splits[key] = series = _free_series(min_var, gens, budget)
-            solved.append(series)
-            continue
-        # Last in, first out: the add branch runs first, then the colon.  The
-        # pivot is the smallest variable of a generator of degree >= 2 and
-        # weight <= budget, so the colon's budget is at least the pivot.
-        todo.append((gens, budget, pivot))
-        sub_budget = budget - pivot
-        todo.append((_colon(gens, pivot, sub_budget), sub_budget, None))
-        todo.append((_add(gens, pivot, budget), budget, None))
-    return TruncatedSeries(solved.pop())
+        if s is not None and s <= p + 2:
+            steps = [g for j in range(s, p + 3) for g in _step_gens(j, r, r) if g.weight <= budget]
+            upper, s = tuple(sorted(upper + tuple(steps))), p + 3
+        # Last in, first out: the add branch runs first, then the colon.
+        todo.append((m, gens, None, budget, key))
+        todo.append((p, _colon(upper, p, budget - p), s, budget - p, None))
+        todo.append((p, _add(upper, p, budget), s, budget, None))
+    return TruncatedSeries(tuple(solved.pop()))
 
 
+def _lift(series: list[int], m: int, p: int, gens: tuple) -> tuple[int, ...]:
+    """`series` times 1/(1 - q^v), in place, for each v in [m, p) that starts no
+    generator: below the pivot p every generator is a killed single variable."""
+    starts = {g.exps[0][0] for g in gens}
+    for v in range(m, min(p, len(series))):
+        if v not in starts:
+            for j in range(v, len(series)):
+                series[j] += series[j - v]
+    return tuple(series)
+
+
+# No caller in src/; kept while bench/tracer.py reads its cache_info() (ROADMAP item 1).
 @lru_cache(maxsize=None)
 def _hp_notation_cached(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
     return build_L_k_ell(k, ell, r, n)
@@ -203,14 +194,12 @@ def hp_notation(
 ) -> TruncatedSeries:
     """Series of the quotient by the family ideal at k (plain when ell is None).
 
-    The plain ideal is the one with cap ell = r, so ell = None is read as r
-    before the cache and both spellings share one entry.  The ideal is
-    cached for the life of the process: the arguments fully determine it,
-    and it is immutable.  The builder makes it canonical, so its series
-    comes from the engine behind `hp_split` with no second
-    canonicalization.  The engine runs on `ctx`, so a repeated call in one
-    run finds its root in `ctx.splits`.
+    The plain ideal is the one with cap ell = r.  No family ideal is built: the
+    root head is the minimal set of steps k..k+2 (ell caps steps k and k+1 only),
+    and `_split` leaves the steps from k+3 on implicit, on the memo of `ctx`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
+    ell = r if ell is None else ell
+    steps = [g for j in range(k, k + 3) for g in _step_gens(j, _cap(j, k, ell, r), r)]
     splits = (RunContext() if ctx is None else ctx).splits
-    return _split_canonical(_hp_notation_cached(k, r if ell is None else ell, r, n), splits)
+    return _split(minimalize(g for g in steps if g.weight <= n), k, n, splits, r, k + 3)

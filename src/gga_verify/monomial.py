@@ -9,7 +9,7 @@ that is still counted.
 
 A monomial is the named tuple (weight, exps) with its weight stored, so the
 builders, `minimalize`, the colon and add kernels and the splitting memo of
-`hilbert.hp_split` all run on one type, in plain tuple order; an ideal is the
+`hilbert._split` all run on one type, in plain tuple order; an ideal is the
 named tuple (gens, min_var, trunc), made canonical by `MonomialIdeal.build`.
 """
 
@@ -158,6 +158,7 @@ def _add(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ..
     return tuple(kept)
 
 
+# No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """The colon ideal (I : x_var), kept canonical without re-minimalizing (see _colon)."""
     if var < ideal.min_var:
@@ -165,6 +166,7 @@ def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     return MonomialIdeal(_colon(ideal.gens, var, ideal.trunc), ideal.min_var, ideal.trunc)
 
 
+# No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """The enlarged ideal I + (x_var), kept canonical without re-minimalizing (see _add)."""
     if var < ideal.min_var:
@@ -213,12 +215,10 @@ def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
     return counts
 
 
+# No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def standard_count(ideal: MonomialIdeal, weight: int) -> int:
-    """Dimension of the degree-`weight` graded piece of the quotient.
-
-    Field-independent: it is the number of weight-`weight` monomials in
-    variables >= min_var not divisible by any generator.
-    """
+    """Dimension of the degree-`weight` piece of the quotient: the number of
+    weight-`weight` monomials in variables >= min_var that no generator divides."""
     if weight < 0:
         raise ValueError(f"negative degree {weight}")
     if weight > ideal.trunc:

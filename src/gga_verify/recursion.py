@@ -25,7 +25,7 @@ scale means a transcription bug, and diagnosis needs the witness coefficient.
 The cells of one run share work through a `RunContext`: `c_series` keeps
 each product-side series under (r, index, n), so the expansion terms and the
 limit tail that several cells name are built once, `series_D` keeps one
-level-zero walk per r, and `hp_split` keeps the quotient side's solved
+level-zero walk per r, and `hp_notation` keeps the quotient side's solved
 sub-problems.  Every verifier takes the context as `ctx`; one called
 without it makes a fresh context for that call.
 """

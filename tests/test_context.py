@@ -44,8 +44,9 @@ def test_shared_context_matches_fresh_calls() -> None:
 
 def test_shared_context_matches_fresh_calls_on_the_quotient_side() -> None:
     ctx = RunContext()
-    # equal generators in two rings and at three budgets: the split memo must
-    # tell the rings apart by min_var and serve each budget its own prefix
+    # equal generators in two rings and at three budgets share one memo key,
+    # which names no ring: each ring lifts the entry by its own free variables,
+    # and each budget reads its own prefix
     square = make_monomial({3: 2})
     for n in (9, 7, 12):
         for min_var in (1, 3):

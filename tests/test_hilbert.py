@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gga_verify import cli, hilbert
 from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import (
@@ -21,7 +23,7 @@ from gga_verify.hilbert import (
 )
 from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, minimalize
 from gga_verify.partitions import count_E, series_E
-from gga_verify.qseries import eq_up_to, product_geometric_inverses, series_one
+from gga_verify.qseries import TruncatedSeries, eq_up_to, product_geometric_inverses, series_one
 
 from oracles import (
     classical_partition_count,
@@ -218,9 +220,10 @@ def test_engines_agree_on_generated_ideals_with_one_shared_context(
 
 
 def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
-    # Every colon step on (x1^a, x2*x3) ends in the pivot-free quotients by
-    # (x1, x2) and (x1, x3), one budget lower each step; one context spans
-    # both truncations, so the kept series is sliced and then regrown.
+    # Every colon step on (x1^a, x2*x3) ends in the quotient by (x1, x2*x3),
+    # one budget lower each step; without the killed x1 below the pivot x2 it
+    # is one memo key, and one context spans both truncations, so the kept
+    # series is sliced and then regrown.
     ctx = RunContext()
     for n in (24, 40):
         for a in (2, 9, n):
@@ -230,22 +233,80 @@ def test_hp_split_reuses_pivot_free_series_across_budgets() -> None:
 
 
 def test_split_memo_keeps_the_longest_series_per_key() -> None:
-    # One context serves the same ideal at truncation 40, then 20, then 40.
-    # The memo is keyed by (min_var, generators) alone: a smaller budget reads
-    # a prefix of the entry, and no call may shorten what an earlier one kept.
-    ctx = RunContext()
-    longest: dict[tuple, tuple[int, ...]] = {}
-    for n in (40, 20, 40):
-        ideal = build_L_riJ(3, 1, 0, n)
-        fresh = RunContext()
-        assert hp_split(ideal, ctx=ctx) == hp_split(ideal, ctx=fresh), n
-        for key, series in fresh.splits.items():
-            longest[key] = max(longest.get(key, ()), series, key=len)
-    assert ctx.splits
-    assert all(len(key) == 2 for key in ctx.splits)
-    assert ctx.splits.keys() <= longest.keys()
-    for key, series in ctx.splits.items():
-        assert series == longest[key], key
+    # One context serves the same ideal at truncation 40, then 20, then 40,
+    # through hp_split (no tail) and hp_notation (the family tail implicit).
+    # The memo is keyed by (pivot, generators on x_pivot and up, r, tail start)
+    # alone: a smaller budget reads a prefix of the entry, and no call may
+    # shorten what an earlier one kept.
+    runs = [
+        (lambda n, ctx: hp_split(build_L_riJ(3, 1, 0, n), ctx=ctx), 0),
+        (lambda n, ctx: hp_notation(1, 1, 3, n, ctx=ctx), 3),
+    ]
+    for run, r in runs:
+        ctx = RunContext()
+        longest: dict[tuple, tuple[int, ...]] = {}
+        for n in (40, 20, 40):
+            fresh = RunContext()
+            assert run(n, ctx) == run(n, fresh), n
+            for key, series in fresh.splits.items():
+                longest[key] = max(longest.get(key, ()), series, key=len)
+        assert ctx.splits
+        for p, upper, key_r, tail in ctx.splits:
+            assert all(g.exps[0][0] >= p for g in upper)
+            assert key_r == r and (tail is None or (r and tail >= p))
+        assert not r or any(key[3] is not None for key in ctx.splits)
+        assert ctx.splits.keys() <= longest.keys()
+        for key, series in ctx.splits.items():
+            assert series == longest[key], key
+
+
+def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(monkeypatch) -> None:
+    # The reduction's premise: below the pivot p every head generator is a
+    # killed single variable, so the lift's factors 1/(1 - q^v) are exactly
+    # the v in [m, p) that no head generator contains.
+    lift = hilbert._lift
+    seen = []
+
+    def checked(series, m, p, gens):
+        assert all(g.weight == g.exps[0][0] for g in gens if g.exps[0][0] < p), (p, gens)
+        used = {v for g in gens for v, _ in g.exps}
+        free = [v for v in range(m, min(p, len(series))) if v not in used]
+        expected = TruncatedSeries(tuple(series)) * product_geometric_inverses(free, len(series) - 1)
+        out = lift(series, m, p, gens)
+        assert out == expected.coeffs, (m, p, gens)
+        seen.append(bool(free))
+        return out
+
+    monkeypatch.setattr(hilbert, "_lift", checked)
+    for k, ell, r in [(1, 1, 2), (1, 2, 3), (2, 1, 3), (3, 2, 4), (4, None, 3)]:
+        hp_notation(k, ell, r, 30)
+    rng = random.Random(7)
+    for _ in range(10):
+        hp_split(_random_ideal(rng, 20))
+    assert any(seen) and not all(seen)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(r=st.integers(2, 6), k=st.integers(1, 12), n=st.integers(0, 60), data=st.data())
+def test_hp_notation_equals_brute_on_the_built_family_ideal(r: int, k: int, n: int, data) -> None:
+    # the implicit tail against the whole family ideal, built and walked
+    ell = data.draw(st.one_of(st.none(), st.integers(1, r)))
+    expected = hp_brute(build_L_k_ell(k, r if ell is None else ell, r, n))
+    assert hp_notation(k, ell, r, n) == expected, (k, ell, r, n)
+
+
+def test_verify_builds_no_family_ideal(monkeypatch) -> None:
+    # every quotient series on the verify path comes from the implicit tail
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family ideal was built")
+
+    monkeypatch.setattr(hilbert, "build_L_k_ell", refuse)
+    monkeypatch.setattr(hilbert, "_hp_notation_cached", refuse)
+    monkeypatch.setattr(MonomialIdeal, "build", refuse)
+    out = io.StringIO()
+    argv = ["verify", "--lemmas", "--r", "2..4", "--i", "all", "--J", "0..2", "--N", "30"]
+    assert cli.run(argv, stdout=out) == 0
+    assert all(json.loads(line)["pass"] for line in out.getvalue().splitlines())
 
 
 def test_engines_run_deeper_than_the_recursion_limit() -> None:

@@ -8,8 +8,8 @@ mismatched), never 3 or 4.  Besides the three sides, rows reach the final
 division by theta(1, 4) that applies D to every product series, the
 coefficient tables' initial conditions, and the literal level-zero oracle;
 each of these names the exact set of (check, clause) pairs it fails.  The
-quotient side's family ideals are also cached for the life of the process,
-so its rows empty that cache before and after they run.  A mutant that
+quotient side's rows reach the family steps, the cap rule and the splitting
+engine's lift, head copy, tail start and pivot.  A mutant that
 breaks the product-side cascade's own exact division is caught before any
 identity is compared: it raises `NonDivisible` and the CLI exits 3.  See
 DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
@@ -41,11 +41,18 @@ GAP_SIDE_MUTANTS = [
     ("odd part outside the window", "below[cap - b]", "below[cap + 1 - b]", "product_vs_gap"),
 ]
 
-# (name, function in hilbert, token in its source, its replacement)
+# (name, module the function is patched on, function in hilbert, token in its
+#  source, its replacement)
 QUOTIENT_SIDE_MUTANTS = [
-    ("first staircase from s = 2", "_step_gens", "range(1, cap)", "range(2, cap)"),
-    ("second staircase one short", "_step_gens", "range(cap - 1)", "range(cap - 2)"),
-    ("cap ell at j = k only", "build_L_k_ell", "j - k <= k % 2", "j - k < k % 2"),
+    ("first staircase from s = 2", hilbert, "_step_gens", "range(1, cap)", "range(2, cap)"),
+    ("second staircase one short", hilbert, "_step_gens", "range(cap - 1)", "range(cap - 2)"),
+    ("cap ell at j = k only", hilbert, "_cap", "j - k <= k % 2", "j - k < k % 2"),
+    ("lift counts a killed variable", hilbert, "_lift", "if v not in starts:", "if True:"),
+    ("one step fewer copied into the head", hilbert, "_split", "range(s, p + 3)", "range(s, p + 2)"),
+    ("tail starts one step late", hilbert, "_split", "), p + 3", "), p + 4"),
+    ("pivot ignores the tail", hilbert, "_split", "else min(p, s)", "else p"),
+    ("tail dropped while step s fits", hilbert, "_split", "2 * s > budget", "2 * s >= budget"),
+    ("root tail starts at k+4", recursion, "hp_notation", "r, k + 3)", "r, k + 4)"),
 ]
 
 # (name, module the function is patched on, function, token in its source, its replacement,
@@ -136,29 +143,27 @@ def test_gap_side_mutant_is_caught(monkeypatch, token: str, replacement: str, cl
 
 
 @pytest.mark.parametrize(
-    "name, token, replacement",
+    "module, name, token, replacement",
     [m[1:] for m in QUOTIENT_SIDE_MUTANTS],
     ids=[m[0] for m in QUOTIENT_SIDE_MUTANTS],
 )
-def test_quotient_side_mutant_is_caught(monkeypatch, name: str, token: str, replacement: str) -> None:
-    monkeypatch.setattr(hilbert, name, mutant(getattr(hilbert, name), token, replacement))
-    hilbert._hp_notation_cached.cache_clear()  # else it serves the unmutated ideals
-    try:
-        ctx = RunContext()
-        failed = [
-            report
-            for report in (recursion.verify_main(r, i, J, 20, ctx=ctx) for r, i, J in CELLS)
-            if not report.passed
-        ]
-        assert failed
-        for report in failed:
-            assert report.params["clause"] == "quotient_vs_gap"
-            assert report.first_mismatch.degree <= 20
-        code, reports = run_verify()
-        assert code == 1
-        assert sum(not report["pass"] for report in reports) == len(failed)
-    finally:
-        hilbert._hp_notation_cached.cache_clear()
+def test_quotient_side_mutant_is_caught(
+    monkeypatch, module, name: str, token: str, replacement: str
+) -> None:
+    monkeypatch.setattr(module, name, mutant(getattr(hilbert, name), token, replacement))
+    ctx = RunContext()
+    failed = [
+        report
+        for report in (recursion.verify_main(r, i, J, 20, ctx=ctx) for r, i, J in CELLS)
+        if not report.passed
+    ]
+    assert failed
+    for report in failed:
+        assert report.params["clause"] == "quotient_vs_gap"
+        assert report.first_mismatch.degree <= 20
+    code, reports = run_verify()
+    assert code == 1
+    assert sum(not report["pass"] for report in reports) == len(failed)
 
 
 @pytest.mark.parametrize(
