@@ -256,7 +256,7 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     sink: TextIO | None = None
-    if args.out:
+    if args.out is not None:
         target = os.path.realpath(args.out)  # write through a symlink, never over it
         directory, name = os.path.split(target)
         pending = os.path.join(directory, f".{name}.{os.getpid()}.tmp")

@@ -199,19 +199,17 @@ def triple_product_terms(a: int, modulus: int, n: int) -> list[tuple[int, int]]:
     return [(d, c) for d, c in sorted(terms.items()) if c]
 
 
-def mul_sparse(series: TruncatedSeries, terms: Sequence[tuple[int, int]]) -> TruncatedSeries:
-    """series times the polynomial sum c q^d over terms, through series.trunc.
+def sparse_series(terms: Iterable[tuple[int, int]], n: int) -> TruncatedSeries:
+    """The polynomial sum c q^d over terms, through degree n.
 
-    terms must list every nonzero coefficient of degree <= series.trunc;
-    the cost is O(trunc * len(terms)).
+    Each term is written into a zero list, so the cost is O(n + len(terms));
+    terms above degree n are dropped.
     """
-    n = series.trunc
-    coeffs = series.coeffs
+    check_params(n=n)
     out = [0] * (n + 1)
     for degree, c in terms:
-        if degree > n:
-            break
-        out[degree:] = [x + c * y for x, y in zip(out[degree:], coeffs)]
+        if degree <= n:
+            out[degree] += c
     return TruncatedSeries(tuple(out))
 
 

@@ -43,11 +43,11 @@ from .qseries import (
     TruncatedSeries,
     div_sparse,
     eq_up_to,
-    mul_sparse,
     product_geometric_inverses,
     q_power,
     series_one,
     series_zero,
+    sparse_series,
     triple_product_terms,
 )
 
@@ -60,23 +60,32 @@ def _decompose_index(r: int, index: int) -> tuple[int, int]:
     return (index - i) // (r - 1), i
 
 
-def _recursion_padding(r: int, g_stop: int, i_stop: int) -> int:
-    """Certified-range loss of the level cascade up to entry i_stop of level g_stop.
+def _cascade(row: list, r: int, g_stop: int, i_stop: int, entry) -> object:
+    """Entry i_stop of level g_stop of the level cascade, from level 0 `row`.
 
-    Runs the cascade of _product_series on certified ranges alone, counted
-    from the bases' truncation: a difference keeps the smaller range of its
-    operands, q^(w-1) times the chained entry gains w-1 degrees, and the
-    exact division by q^w loses w.  The loss grows as about r*g(g+1)/2.  It
-    is exact: with one degree less the final truncation raises.
+    Level g starts with C[g, 1] = C[g-1, r], and its entry i in 2..r is
+    entry(C[g-1, r-i+1], C[g-1, r-i+2], C[g, i-1], w) with w = 2g(i-1); the
+    last level stops at entry i_stop.  The cascade runs on series in
+    _product_series and on certified ranges in _recursion_padding.
     """
-    row = [0] * r
     for g in range(1, g_stop + 1):
         new = [row[r - 1]]
         for i in range(2, (i_stop if g == g_stop else r) + 1):
-            w = 2 * g * (i - 1)
-            new.append(min(row[r - i], row[r - i + 1], new[i - 2] + w - 1) - w)
+            new.append(entry(row[r - i], row[r - i + 1], new[i - 2], 2 * g * (i - 1)))
         row = new
-    return -row[i_stop - 1]
+    return row[i_stop - 1]
+
+
+def _recursion_padding(r: int, g_stop: int, i_stop: int) -> int:
+    """Certified-range loss of the level cascade up to entry i_stop of level g_stop.
+
+    Runs _cascade on certified ranges alone, counted from the bases'
+    truncation: a difference keeps the smaller range of its operands,
+    q^(w-1) times the chained entry gains w-1 degrees, and the exact
+    division by q^w loses w.  The loss grows as about r*g(g+1)/2.  It is
+    exact: with one degree less the final truncation raises.
+    """
+    return -_cascade([0] * r, r, g_stop, i_stop, lambda a, b, c, w: min(a, b, c + w - 1) - w)
 
 
 def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> TruncatedSeries:
@@ -90,9 +99,10 @@ def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> Tr
     each theta series sparse by Jacobi's triple product (Andrews, The Theory
     of Partitions, ch. 2).  Differences and exact multiplication and division
     by q^w commute with multiplying by the unit D, so every index runs the
-    level cascade on the theta numerators, index j <= r being entry j of
-    level 0, at a working truncation padded by its exact loss (see
-    _recursion_padding); the last level stops at the entry asked for, and
+    level cascade (_cascade) on the theta numerators, each placed term by
+    term, index j <= r being entry j of level 0, at a working truncation
+    padded by its exact loss (see _recursion_padding, the same cascade on
+    certified ranges); the last level stops at the entry asked for, and
     one sparse division by theta(1, 4) through degree n applies D.  The
     result is kept in `ctx` under (r, index, n).
     """
@@ -109,16 +119,11 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
     work = n + _recursion_padding(r, g_stop, i_stop)
     row: list = [None] * r  # level 0: the theta numerators; index <= r reads only its own
     for j in range(1, r + 1) if g_stop else [i_stop]:
-        theta = triple_product_terms(2 * r - (2 * j - 1), 4 * r, work)
-        row[j - 1] = mul_sparse(series_one(work), theta)
-    for g in range(1, g_stop + 1):
-        new = [row[r - 1]]
-        for i in range(2, (i_stop if g == g_stop else r) + 1):
-            w = 2 * g * (i - 1)
-            numerator = row[r - i] - row[r - i + 1] - new[i - 2].mul_q_pow(w - 1)
-            new.append(numerator.div_q_pow(w))
-        row = new
-    return div_sparse(row[i_stop - 1].truncated(n), triple_product_terms(1, 4, n))
+        row[j - 1] = sparse_series(triple_product_terms(2 * r - (2 * j - 1), 4 * r, work), work)
+    top = _cascade(
+        row, r, g_stop, i_stop, lambda a, b, c, w: (a - b - c.mul_q_pow(w - 1)).div_q_pow(w)
+    )
+    return div_sparse(top.truncated(n), triple_product_terms(1, 4, n))
 
 
 class CoeffTable(NamedTuple):

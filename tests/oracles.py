@@ -25,8 +25,7 @@ from gga_verify.monomial import Monomial, MonomialIdeal
 from gga_verify.qseries import (
     TruncatedSeries,
     div_sparse,
-    mul_sparse,
-    series_one,
+    sparse_series,
     triple_product_terms,
 )
 
@@ -385,10 +384,10 @@ def padded_level(r: int, g_stop: int, n: int) -> list[TruncatedSeries]:
     # With the chained term kept at its truncation, level g loses g*r*(r-1)
     # degrees at its i = r entry; the bases are padded by the sum of those.
     work = n + sum(g * r * (r - 1) for g in range(1, g_stop + 1))
-    d = mul_sparse(series_one(work), pentagonal_terms(2, work))
+    d = sparse_series(pentagonal_terms(2, work), work)
     d = div_sparse(div_sparse(d, pentagonal_terms(1, work)), pentagonal_terms(4, work))
     row = [
-        mul_sparse(d, triple_product_terms(2 * r - (2 * j - 1), 4 * r, work))
+        sparse_series(triple_product_terms(2 * r - (2 * j - 1), 4 * r, work), work) * d
         for j in range(1, r + 1)
     ]
     for g in range(1, g_stop + 1):

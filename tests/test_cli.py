@@ -386,6 +386,18 @@ def test_out_flag_replaces_old_file_on_mismatch(monkeypatch: pytest.MonkeyPatch,
     assert list(tmp_path.iterdir()) == [target]
 
 
+@pytest.mark.parametrize("flag", [["--out", ""], ["--out="]], ids=["separate", "joined"])
+def test_out_flag_empty_path_is_usage_error(
+    flag: list[str], monkeypatch: pytest.MonkeyPatch, tmp_path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # the empty path names the working directory, which is not a regular file
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", *flag)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: cannot write --out : not a regular file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_flag_directory_target_is_usage_error(
     tmp_path, capsys: pytest.CaptureFixture[str]
 ) -> None:

@@ -59,7 +59,9 @@ QUOTIENT_SIDE_MUTANTS = [
 #  the (check, clause) pairs that fail on LEMMAS_ARGV, clause indices dropped)
 VERIFIER_MUTANTS = [
     (
-        "D multiplied, not divided", recursion, "_product_series", "div_sparse(", "mul_sparse(",
+        "D multiplied, not divided", recursion, "_product_series",
+        "div_sparse(top.truncated(n), triple_product_terms(1, 4, n))",
+        "top.truncated(n) * sparse_series(triple_product_terms(1, 4, n), n)",
         {("main", "product_vs_gap"), ("limits", "product_tail_is_one")},
     ),
     (
@@ -202,14 +204,26 @@ def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
         assert report["first_mismatch"]["degree"] <= 20
 
 
-def test_cascade_chained_power_mutant_fails_exact_division(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(
-        recursion,
-        "_product_series",
-        mutant(recursion._product_series, "mul_q_pow(w - 1)", "mul_q_pow(w)"),
-    )
+# (name, function in recursion, token in its source, its replacement): each
+# breaks an exact division of the product-side cascade
+CASCADE_MUTANTS = [
+    ("chained power one high", "_product_series", "mul_q_pow(w - 1)", "mul_q_pow(w)"),
+    ("second operand one entry up", "_cascade", "row[r - i + 1]", "row[r - i + 2 - (i == 2)]"),
+    ("level start one entry down", "_cascade", "new = [row[r - 1]]", "new = [row[r - 2]]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, token, replacement",
+    [m[1:] for m in CASCADE_MUTANTS],
+    ids=[m[0] for m in CASCADE_MUTANTS],
+)
+def test_cascade_chained_power_mutant_fails_exact_division(
+    monkeypatch, capsys, name: str, token: str, replacement: str
+) -> None:
+    monkeypatch.setattr(recursion, name, mutant(getattr(recursion, name), token, replacement))
     with pytest.raises(NonDivisible):
-        recursion.c_series(2, 3, 20)
+        recursion.c_series(3, 5, 20)
     capsys.readouterr()
     code, _ = run_verify(LEMMAS_ARGV)
     assert code == 3

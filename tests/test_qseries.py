@@ -12,11 +12,11 @@ from gga_verify.qseries import (
     TruncatedSeries,
     div_sparse,
     eq_up_to,
-    mul_sparse,
     product_geometric_inverses,
     q_power,
     series_one,
     series_zero,
+    sparse_series,
     triple_product_terms,
 )
 
@@ -212,7 +212,7 @@ def test_pentagonal_terms_invert_the_partition_series() -> None:
     n = 60
     for k in (1, 2, 4, 7):
         inverse = product_geometric_inverses(range(k, n + 1, k), n)
-        assert mul_sparse(inverse, pentagonal_terms(k, n)) == series_one(n), k
+        assert sparse_series(pentagonal_terms(k, n), n) * inverse == series_one(n), k
 
 
 def test_one_theta_series_gives_the_parts_not_2_mod_4() -> None:
@@ -231,11 +231,25 @@ def test_triple_product_terms_invert_the_class_product() -> None:
         residues = (0, a, modulus - a)  # at a = M/2 the class a counts twice
         parts = [m for c in residues for m in range(1, n + 1) if m % modulus == c]
         inverse = product_geometric_inverses(parts, n)
-        assert mul_sparse(inverse, triple_product_terms(a, modulus, n)) == series_one(n)
+        assert sparse_series(triple_product_terms(a, modulus, n), n) * inverse == series_one(n)
     with pytest.raises(ValueError):
         triple_product_terms(0, 8, 10)
     with pytest.raises(ValueError):
         triple_product_terms(8, 8, 10)
+
+
+def test_sparse_series_places_the_terms_through_n() -> None:
+    assert sparse_series([(0, 1), (2, -3), (5, 7)], 4) == from_coeffs([1, 0, -3, 0, 0])
+    assert sparse_series([(3, 2), (1, 1)], 3) == from_coeffs([0, 1, 0, 2])
+    for n in (0, 1, 7):
+        assert sparse_series([], n) == series_zero(n)
+        assert sparse_series([(0, 1)], n) == series_one(n)
+        assert sparse_series([(n + 1, 5), (n + 9, -1)], n) == series_zero(n)
+    for a, modulus in [(1, 4), (3, 8), (2, 4)]:
+        terms = triple_product_terms(a, modulus, 60)
+        dense = sparse_series(terms, 60)
+        assert [(d, c) for d, c in enumerate(dense.coeffs) if c] == terms
+        assert sparse_series(terms, 20) == dense.truncated(20)
 
 
 def test_div_sparse_rejects_non_unit_constant() -> None:
@@ -257,8 +271,9 @@ _sparse_divisors = st.dictionaries(
 )
 def test_sparse_divide_then_multiply_roundtrips(coeffs: list[int], terms) -> None:
     series = from_coeffs(coeffs)
-    assert mul_sparse(div_sparse(series, terms), terms) == series
-    assert div_sparse(mul_sparse(series, terms), terms) == series
+    divisor = sparse_series(terms, series.trunc)
+    assert divisor * div_sparse(series, terms) == series
+    assert div_sparse(divisor * series, terms) == series
 
 
 def test_eq_up_to() -> None:

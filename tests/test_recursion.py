@@ -104,19 +104,18 @@ def test_c_series_unchanged_by_extra_padding(monkeypatch: pytest.MonkeyPatch) ->
         assert c_series(*case) == exact[case], case
 
 
-def test_padding_one_short_raises_at_last_level_entry(monkeypatch: pytest.MonkeyPatch) -> None:
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), r=st.integers(2, 8), g=st.integers(1, 6), n=st.integers(0, 30))
+def test_padding_one_short_raises_at_last_level_entry(data, r: int, g: int, n: int) -> None:
     # the entry asked for loses exactly the padding, so one degree less must fail
+    i_stop = data.draw(st.integers(2, r), label="i_stop")
     exact = recursion._recursion_padding
-    monkeypatch.setattr(
-        recursion, "_recursion_padding", lambda r, g_stop, i_stop: exact(r, g_stop, i_stop) - 1
-    )
-    for r in range(2, 7):
-        for g in (1, 2, 3):
-            for i_stop in range(2, r + 1):
-                index = (r - 1) * g + i_stop
-                for n in (0, 10):
-                    with pytest.raises(TruncationTooShort):
-                        c_series(r, index, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            recursion, "_recursion_padding", lambda r, g_stop, i_stop: exact(r, g_stop, i_stop) - 1
+        )
+        with pytest.raises(TruncationTooShort):
+            c_series(r, (r - 1) * g + i_stop, n)
 
 
 def test_c_series_equals_padded_cascade_on_grid() -> None:

@@ -20,6 +20,7 @@ from gga_verify.qseries import (
     product_geometric_inverses,
     series_one,
     series_zero,
+    sparse_series,
     triple_product_terms,
 )
 from gga_verify.recursion import (
@@ -98,6 +99,7 @@ TRUNCATIONS = {
     "TruncatedSeries.truncated": lambda n: series_one(3).truncated(n),
     "series_one": series_one,
     "series_zero": series_zero,
+    "sparse_series": lambda n: sparse_series([(0, 1)], n),
     "product_geometric_inverses": lambda n: product_geometric_inverses([1, 2], n),
     "triple_product_terms": lambda n: triple_product_terms(1, 4, n),
     "MonomialIdeal.build": lambda n: MonomialIdeal.build([], 1, n),
