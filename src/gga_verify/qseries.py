@@ -153,11 +153,6 @@ def series_zero(n: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * (n + 1))
 
 
-def q_power(w: int, n: int) -> TruncatedSeries:
-    """The monomial q^w through degree n (zero series when w > n)."""
-    return series_one(n).shift(w)
-
-
 def product_geometric_inverses(parts: Iterable[int], n: int) -> TruncatedSeries:
     """Expansion of prod_{m in parts} 1/(1 - q^m) through degree n.
 

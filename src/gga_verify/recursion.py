@@ -32,6 +32,7 @@ without it makes a fresh context for that call.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .context import RunContext
@@ -44,7 +45,6 @@ from .qseries import (
     div_sparse,
     eq_up_to,
     product_geometric_inverses,
-    q_power,
     series_one,
     series_zero,
     sparse_series,
@@ -142,15 +142,17 @@ class CoeffTable(NamedTuple):
 def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> CoeffTable:
     """Fill the expansion coefficient recurrence from depth J+1 up to d_max.
 
-    kind "M" anchors the initial conditions at position p = r - anchor + 1
-    (product side, anchor = ell); kind "N" anchors at position p = anchor
-    (quotient side, anchor = i).  Initial conditions at depth J+1:
+    kind "M" pivots at position p = r - anchor + 1 (product side, anchor =
+    ell); kind "N" pivots at position p = anchor (quotient side, anchor = i).
+    At depth J the expansion is the identity, the head series being itself:
+    entry(j, J) = [j = r - p + 1].  One depth step:
+        entry(j, d+1) = q^(2(d+1)(j-1)) * sum_{m=1}^{r-j+1} entry(m, d)
+                      + q^(2(d+1)j - 1) * sum_{m=1}^{r-j}   entry(m, d),
+    so the first step gives the initial conditions at depth J+1:
         q^(2(J+1)j - 1) + q^(2(J+1)(j-1))   for j < p,
         q^(2(J+1)(j-1))                     for j = p,
         0                                   for j > p.
-    One depth step:
-        entry(j, d+1) = q^(2(d+1)(j-1)) * sum_{m=1}^{r-j+1} entry(m, d)
-                      + q^(2(d+1)j - 1) * sum_{m=1}^{r-j}   entry(m, d).
+    The table holds depths J+1..d_max; the depth-J row is not kept.
     """
     check_params(r=r, J=J, anchor=anchor, n=n)
     if kind not in ("M", "N"):
@@ -159,26 +161,17 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
         raise ParamOutOfRange(f"d_max = {d_max} violates d_max >= J+1 = {J + 1}")
 
     pivot = anchor if kind == "N" else r - anchor + 1
+    zero = series_zero(n)
+    row = [zero] * r  # depth J, entry j in slot j - 1
+    row[r - pivot] = series_one(n)
     entries: dict[tuple[int, int], TruncatedSeries] = {}
-    d0 = J + 1
-    for j in range(1, r + 1):
-        if j < pivot:
-            entries[(j, d0)] = q_power(2 * d0 * j - 1, n) + q_power(2 * d0 * (j - 1), n)
-        elif j == pivot:
-            entries[(j, d0)] = q_power(2 * d0 * (j - 1), n)
-        else:
-            entries[(j, d0)] = series_zero(n)
-
-    for d in range(d0, d_max):
-        prefix = [series_zero(n)]
-        for m in range(1, r + 1):
-            prefix.append(prefix[-1] + entries[(m, d)])
+    for d in range(J, d_max):
+        prefix = list(accumulate(row, initial=zero))
         for j in range(1, r + 1):
             step = prefix[r - j + 1].shift(2 * (d + 1) * (j - 1))
             if r - j >= 1:
                 step = step + prefix[r - j].shift(2 * (d + 1) * j - 1)
-            entries[(j, d + 1)] = step
-
+            entries[(j, d + 1)] = row[j - 1] = step
     return CoeffTable(entries)
 
 

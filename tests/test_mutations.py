@@ -6,10 +6,12 @@ The verifier must then report a failure that names the expected clause
 and a witness at a low degree, and the CLI must exit 1 (an identity
 mismatched), never 3 or 4.  Besides the three sides, rows reach the final
 division by theta(1, 4) that applies D to every product series, the
-coefficient tables' initial conditions, and the literal level-zero oracle;
-each of these names the exact set of (check, clause) pairs it fails.  The
-quotient side's rows reach the family steps, the cap rule and the splitting
-engine's lift, head copy, tail start and pivot.  A mutant that
+coefficient tables' identity entry and depth step, the enlargement kernel
+`_add`, and the literal level-zero oracle; each of these names the exact set
+of (check, clause) pairs it fails.  The quotient side's rows reach the family
+steps, the cap rule and the splitting engine's lift, head copy, tail start
+and pivot.  Mutants of `hp_brute`'s order-ideal walk make the two engines of
+`hilbert` disagree, and the CLI exits 1.  A mutant that
 breaks the product-side cascade's own exact division is caught before any
 identity is compared: it raises `NonDivisible` and the CLI exits 3.  See
 DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
@@ -71,9 +73,20 @@ VERIFIER_MUTANTS = [
     ),
     (
         "pivot initial exponent one level up", recursion, "coeff_table",
-        "= q_power(2 * d0 * (j - 1), n)", "= q_power(2 * d0 * j, n)",
+        ".shift(2 * (d + 1) * (j - 1))", ".shift(2 * (d + 1) * j)",
         {("hp_expansion", "expansion"), ("c_expansion", "expansion"),
          ("limits", "m_stabilizes_to_product")},
+    ),
+    (
+        "identity entry one slot up", recursion, "coeff_table",
+        "row[r - pivot] =", "row[r - pivot - 1] =",
+        {("hp_expansion", "expansion"), ("c_expansion", "expansion"),
+         ("limits", "m_stabilizes_to_product")},
+    ),
+    (
+        "added variable dropped", hilbert, "_add", "insort(kept, x)", "pass",
+        {("main", "quotient_vs_gap"), ("hp_step", "full_step"), ("hp_expansion", "expansion"),
+         ("limits", "n_stabilizes_to_quotient")},
     ),
     (
         "gap floor one up", partitions, "_level_zero_walk",
@@ -229,3 +242,27 @@ def test_cascade_chained_power_mutant_fails_exact_division(
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("arithmetic error:") and err.count("\n") == 1
+
+
+HILBERT_ARGV = ["hilbert", "--family", "LriJ", "--r", "3", "--i", "2", "--N", "20"]
+
+# (name, token in the source of monomial._standard_counts, its replacement):
+# each breaks hp_brute's order-ideal walk, so the two quotient engines disagree
+BRUTE_WALK_MUTANTS = [
+    ("generator met one power late", "exps[u] >= e", "exps[u] > e"),
+    ("generators looked up one variable down", "ending_at.get(v, ())", "ending_at.get(v - 1, ())"),
+]
+
+
+@pytest.mark.parametrize(
+    "token, replacement",
+    [m[1:] for m in BRUTE_WALK_MUTANTS],
+    ids=[m[0] for m in BRUTE_WALK_MUTANTS],
+)
+def test_brute_walk_mutant_is_caught(monkeypatch, token: str, replacement: str) -> None:
+    walk = mutant(hilbert._standard_counts, token, replacement)
+    monkeypatch.setattr(hilbert, "_standard_counts", walk)
+    code, [record] = run_verify(HILBERT_ARGV)
+    assert code == 1
+    assert record["engines_agree"] is False
+    assert record["hp_brute"]["coeffs"] != record["hp_split"]["coeffs"]

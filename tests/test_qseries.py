@@ -13,7 +13,6 @@ from gga_verify.qseries import (
     div_sparse,
     eq_up_to,
     product_geometric_inverses,
-    q_power,
     series_one,
     series_zero,
     sparse_series,
@@ -295,8 +294,8 @@ def test_valuation() -> None:
 
 
 def test_q_power_and_zero() -> None:
-    assert q_power(2, 4).coeffs == (0, 0, 1, 0, 0)
-    assert q_power(9, 4).coeffs == (0, 0, 0, 0, 0)
+    assert series_one(4).shift(2).coeffs == (0, 0, 1, 0, 0)
+    assert series_one(4).shift(9).coeffs == (0, 0, 0, 0, 0)
     assert series_zero(2).coeffs == (0, 0, 0)
 
 

@@ -13,7 +13,7 @@ from gga_verify.partitions import allowed_parts_C, series_E
 from gga_verify.qseries import (
     eq_up_to,
     product_geometric_inverses,
-    q_power,
+    series_one,
     series_zero,
 )
 from gga_verify.recursion import (
@@ -149,19 +149,30 @@ def test_c_series_validation() -> None:
         c_series(2, 1, -1)
 
 
-def test_coeff_table_initial_conditions() -> None:
-    n = 30
-    for r, J, anchor in [(2, 0, 2), (3, 1, 2), (4, 2, 1), (3, 0, 3)]:
-        d0 = J + 1
-        table = coeff_table("N", r, J, anchor, d0, n)
-        for j in range(1, r + 1):
-            if j < anchor:
-                expected = q_power(2 * d0 * j - 1, n) + q_power(2 * d0 * (j - 1), n)
-            elif j == anchor:
-                expected = q_power(2 * d0 * (j - 1), n)
-            else:
-                expected = series_zero(n)
-            assert table.entry(j, d0).coeffs == expected.coeffs, (r, J, anchor, j)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from("MN"),
+    r=st.integers(2, 8),
+    J=st.integers(0, 5),
+    n=st.integers(0, 40),
+)
+def test_coeff_table_initial_conditions(data, kind: str, r: int, J: int, n: int) -> None:
+    anchor = data.draw(st.integers(1, r), label="anchor")
+    d_max = data.draw(st.integers(J + 1, J + 3), label="d_max")
+    table = coeff_table(kind, r, J, anchor, d_max, n)
+    assert len(table.entries) == r * (d_max - J)
+    assert set(table.entries) == {(j, d) for j in range(1, r + 1) for d in range(J + 1, d_max + 1)}
+    pivot = anchor if kind == "N" else r - anchor + 1
+    d0 = J + 1
+    for j in range(1, r + 1):
+        if j < pivot:
+            expected = series_one(n).shift(2 * d0 * j - 1) + series_one(n).shift(2 * d0 * (j - 1))
+        elif j == pivot:
+            expected = series_one(n).shift(2 * d0 * (j - 1))
+        else:
+            expected = series_zero(n)
+        assert table.entry(j, d0).coeffs == expected.coeffs, (kind, r, J, anchor, j)
 
 
 def test_coeff_table_m_kind_anchors_mirrored() -> None:
@@ -179,7 +190,7 @@ def test_coeff_table_degenerate_anchor_all_mass_at_one() -> None:
     # ell = r puts the single nonzero initial entry at j = 1
     n = 20
     table = coeff_table("M", 3, 0, 3, 1, n)
-    assert table.entry(1, 1).coeffs == q_power(0, n).coeffs
+    assert table.entry(1, 1).coeffs == series_one(n).coeffs
     assert table.entry(2, 1).coeffs == series_zero(n).coeffs
     assert table.entry(3, 1).coeffs == series_zero(n).coeffs
 
