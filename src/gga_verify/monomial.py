@@ -86,9 +86,7 @@ class MonomialIdeal(NamedTuple):
 
     @classmethod
     def build(cls, gens: Iterable[Monomial], min_var: int, trunc: int) -> MonomialIdeal:
-        if min_var < 1:
-            raise ValueError(f"min_var {min_var} must be >= 1")
-        check_params(n=trunc)
+        check_params(min_var=min_var, n=trunc)
         kept = []
         for g in gens:
             if g.exps and g.exps[0][0] < min_var:
@@ -105,9 +103,6 @@ class MonomialIdeal(NamedTuple):
     @property
     def is_unit(self) -> bool:
         return bool(self.gens) and not self.gens[0].exps
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
 def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:

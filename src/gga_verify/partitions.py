@@ -132,7 +132,9 @@ def series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:
     `ends[e]` counts the partitions with parts <= 2j whose part 2j occurs e
     times.  A virtual multiplicity r-i of 2J turns the window at j = J into
     the i-1 cap.  The new state b takes 2j+2 b times, and 2j+1 once or not,
-    after every e the window allows: a prefix sum over e.
+    after every e the window allows: a prefix sum over e.  Pair (2j+1, 2j+2)
+    is the N table's step to depth j+1 (`coeff_table`), state b its entry b+1,
+    term for term; the two stay separate transcriptions.
     """
     check_params(r=r, i=i, J=J, n=n)
     cap, zero = r - 1, series_zero(n)

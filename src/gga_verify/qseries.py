@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidPart, NonDivisible, TruncationTooShort, check_params
+from .errors import NonDivisible, TruncationTooShort, check_params
 
 
 class Mismatch(NamedTuple):
@@ -62,8 +62,7 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def __getitem__(self, j: int) -> int:
-        if j < 0:
-            raise ValueError(f"negative degree {j}")
+        check_params(degree=j)
         if j > self.trunc:
             raise TruncationTooShort(f"degree {j} beyond certified range {self.trunc}")
         return self.coeffs[j]
@@ -137,9 +136,6 @@ class TruncatedSeries:
     def to_json_dict(self) -> dict:
         return {"trunc": self.trunc, "coeffs": [str(c) for c in self.coeffs]}
 
-    def __str__(self) -> str:
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
 
 def series_one(n: int) -> TruncatedSeries:
     """The multiplicative identity 1, certified through degree n."""
@@ -164,8 +160,7 @@ def product_geometric_inverses(parts: Iterable[int], n: int) -> TruncatedSeries:
     out = [0] * (n + 1)
     out[0] = 1
     for m in parts:
-        if m <= 0:
-            raise InvalidPart(f"part size {m} must be positive")
+        check_params(part=m)
         for j in range(m, n + 1):
             out[j] += out[j - m]
     return TruncatedSeries(tuple(out))
@@ -232,8 +227,7 @@ def div_sparse(series: TruncatedSeries, terms: Sequence[tuple[int, int]]) -> Tru
 
 def eq_up_to(a: TruncatedSeries, b: TruncatedSeries, n: int) -> tuple[bool, Mismatch | None]:
     """Compare coefficients for 0 <= j <= n; report the smallest mismatch."""
-    if n < 0:
-        raise ValueError(f"negative comparison bound {n}")
+    check_params(n=n)
     if n > a.trunc or n > b.trunc:
         raise TruncationTooShort(
             f"comparison through {n} exceeds certified ranges {a.trunc}, {b.trunc}"

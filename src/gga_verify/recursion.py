@@ -117,11 +117,12 @@ def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> Tr
 def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
     g_stop, i_stop = _decompose_index(r, index)
     work = n + _recursion_padding(r, g_stop, i_stop)
-    row: list = [None] * r  # level 0: the theta numerators; index <= r reads only its own
-    for j in range(1, r + 1) if g_stop else [i_stop]:
-        row[j - 1] = sparse_series(triple_product_terms(2 * r - (2 * j - 1), 4 * r, work), work)
+    thetas = [
+        sparse_series(triple_product_terms(2 * r - (2 * j - 1), 4 * r, work), work)
+        for j in range(1, r + 1)
+    ]
     top = _cascade(
-        row, r, g_stop, i_stop, lambda a, b, c, w: (a - b - c.mul_q_pow(w - 1)).div_q_pow(w)
+        thetas, r, g_stop, i_stop, lambda a, b, c, w: (a - b - c.mul_q_pow(w - 1)).div_q_pow(w)
     )
     return div_sparse(top.truncated(n), triple_product_terms(1, 4, n))
 
@@ -152,7 +153,7 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
         q^(2(J+1)j - 1) + q^(2(J+1)(j-1))   for j < p,
         q^(2(J+1)(j-1))                     for j = p,
         0                                   for j > p.
-    The table holds depths J+1..d_max; the depth-J row is not kept.
+    At kind N each step is `series_E`'s pass over one pair, term for term.
     """
     check_params(r=r, J=J, anchor=anchor, n=n)
     if kind not in ("M", "N"):

@@ -7,13 +7,16 @@ and a witness at a low degree, and the CLI must exit 1 (an identity
 mismatched), never 3 or 4.  Besides the three sides, rows reach the final
 division by theta(1, 4) that applies D to every product series, the
 coefficient tables' identity entry and depth step, the enlargement kernel
-`_add`, and the literal level-zero oracle; each of these names the exact set
-of (check, clause) pairs it fails.  The quotient side's rows reach the family
-steps, the cap rule and the splitting engine's lift, head copy, tail start
-and pivot.  Mutants of `hp_brute`'s order-ideal walk make the two engines of
-`hilbert` disagree, and the CLI exits 1.  A mutant that
-breaks the product-side cascade's own exact division is caught before any
-identity is compared: it raises `NonDivisible` and the CLI exits 3.  See
+`_add`, the splitting engine's leaf series, combine and pivot offset, the
+plain family's cap, and the literal level-zero oracle; each of these names
+the exact set of (check, clause) pairs it fails.  The quotient side's rows
+reach the family steps, the cap rule and the splitting engine's lift, head
+copy, tail start and pivot.  A census maps every clause of the lemma run to
+the rows that fail it, and only the clauses in `UNREACHED` have none.
+Mutants of `hp_brute`'s order-ideal walk make the two engines of `hilbert`
+disagree, and the CLI exits 1.  A mutant that breaks the product-side
+cascade's own exact division is caught before any identity is compared: it
+raises `NonDivisible` and the CLI exits 3.  See
 DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
 11(4), 1978.
 """
@@ -58,7 +61,7 @@ QUOTIENT_SIDE_MUTANTS = [
 ]
 
 # (name, module the function is patched on, function, token in its source, its replacement,
-#  the (check, clause) pairs that fail on LEMMAS_ARGV, clause indices dropped)
+#  the (check, clause) pairs that fail on LEMMAS_ARGV, with any "[...]" suffix dropped)
 VERIFIER_MUTANTS = [
     (
         "D multiplied, not divided", recursion, "_product_series",
@@ -87,6 +90,34 @@ VERIFIER_MUTANTS = [
         "added variable dropped", hilbert, "_add", "insort(kept, x)", "pass",
         {("main", "quotient_vs_gap"), ("hp_step", "full_step"), ("hp_expansion", "expansion"),
          ("limits", "n_stabilizes_to_quotient")},
+    ),
+    (
+        "leaf series all ones", hilbert, "_split",
+        "_lift([1] + [0] * budget,", "_lift([1] * (budget + 1),",
+        {("limits", "hp_tail_is_one"), ("main", "quotient_vs_gap")},
+    ),
+    (
+        "combine shifts by p - 1", hilbert, "_split",
+        "out[j + combine[0]] += c", "out[j + combine[0] - 1] += c",
+        {("hp_expansion", "expansion"), ("hp_step", "full_step"),
+         ("limits", "n_stabilizes_to_quotient"), ("main", "quotient_vs_gap")},
+    ),
+    (
+        "pivot one variable up", hilbert, "_split",
+        "g.exps[0][0] for g in gens if g.weight", "g.exps[0][0] + 1 for g in gens if g.weight",
+        {("hp_expansion", "expansion"), ("hp_step", "full_step"),
+         ("limits", "n_stabilizes_to_quotient"), ("main", "quotient_vs_gap")},
+    ),
+    (
+        "depth-step exponent one level down", recursion, "coeff_table",
+        ".shift(2 * (d + 1) * (j - 1))", ".shift(2 * d * (j - 1))",
+        {("c_expansion", "expansion"), ("hp_expansion", "expansion"),
+         ("limits", "m_entry_vanishes")},
+    ),
+    (
+        "plain family capped at r - 1", recursion, "hp_notation",
+        "ell = r if ell is None else ell", "ell = r - 1 if ell is None else ell",
+        {("hp_step", "odd_step_degenerate")},
     ),
     (
         "gap floor one up", partitions, "_level_zero_walk",
@@ -199,6 +230,9 @@ def test_verifier_mutant_is_caught(
         assert report["first_mismatch"]["degree"] <= 20
 
 
+D_FACTOR_CLAUSES = {"main": "product_vs_gap", "limits": "product_tail_is_one"}
+
+
 def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
     # theta(3, 4) is theta(1, 4) again, so the mutant changes the modulus
     swapped = mutant(
@@ -209,12 +243,44 @@ def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
     monkeypatch.setattr(recursion, "_product_series", swapped)
     code, reports = run_verify(LEMMAS_ARGV)
     assert code == 1
-    clauses = {"main": "product_vs_gap", "limits": "product_tail_is_one"}
     failed = [report for report in reports if not report["pass"]]
-    assert {report["check"] for report in failed} == set(clauses)
+    assert {report["check"] for report in failed} == set(D_FACTOR_CLAUSES)
     for report in failed:
-        assert report["params"]["clause"] == clauses[report["check"]]
+        assert report["params"]["clause"] == D_FACTOR_CLAUSES[report["check"]]
         assert report["first_mismatch"]["degree"] <= 20
+
+
+# The (check, clause) pairs of LEMMAS_ARGV that no committed mutant fails, and why.
+UNREACHED = {
+    # "root tail starts at k+4" fails both on LEMMAS_ARGV, but its row runs
+    # verify_main only
+    ("hp_step", "even_cascade"),
+    ("hp_step", "odd_step"),
+    # M and N share one coeff_table step, and the pivot changes no valuation,
+    # so no one-token mutant fails N's vanishing entries while M's pass
+    ("limits", "n_entry_vanishes"),
+    # it runs only after both gap comparisons passed, and equality through n
+    # is transitive: kept as a clause all the same
+    ("main", "product_vs_quotient"),
+}
+
+
+def test_every_clause_but_the_unreached_has_a_mutant(monkeypatch) -> None:
+    catalog: set[tuple[str, str]] = set()
+    run_clauses = recursion._run_clauses
+
+    def record(check, params, n, clauses):
+        catalog.update((check, label.partition("[")[0]) for label, _, _ in clauses)
+        return run_clauses(check, params, n, clauses)
+
+    monkeypatch.setattr(recursion, "_run_clauses", record)
+    assert run_verify(LEMMAS_ARGV)[0] == 0
+    reached = {("main", m[-1]) for m in GAP_SIDE_MUTANTS}
+    reached |= {("main", "quotient_vs_gap")} if QUOTIENT_SIDE_MUTANTS else set()
+    reached |= set().union(*(m[-1] for m in VERIFIER_MUTANTS))
+    reached |= set(D_FACTOR_CLAUSES.items())
+    assert reached <= catalog
+    assert catalog - reached == UNREACHED
 
 
 # (name, function in recursion, token in its source, its replacement): each

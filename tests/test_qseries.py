@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gga_verify.errors import InvalidPart, NonDivisible, TruncationTooShort
+from gga_verify.errors import NonDivisible, ParamOutOfRange, TruncationTooShort
 from gga_verify.qseries import (
     TruncatedSeries,
     div_sparse,
@@ -193,9 +193,9 @@ def test_product_geometric_inverses_matches_enumeration_generally() -> None:
 
 
 def test_product_geometric_inverses_rejects_bad_part() -> None:
-    with pytest.raises(InvalidPart):
+    with pytest.raises(ParamOutOfRange):
         product_geometric_inverses([0], 3)
-    with pytest.raises(InvalidPart):
+    with pytest.raises(ParamOutOfRange):
         product_geometric_inverses([2, -1], 3)
 
 

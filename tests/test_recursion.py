@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gga_verify import recursion
+from gga_verify import partitions, recursion
 from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange, TruncationTooShort
 from gga_verify.partitions import allowed_parts_C, series_E
@@ -244,6 +245,30 @@ def test_mn_tables_equal() -> None:
     for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 2, 0)]:
         report = verify_mn_tables(r, i, J, J + 3, 30)
         assert report.passed, report.to_json_dict()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(2, 6), J=st.integers(0, 3), n=st.integers(0, 40))
+def test_frequency_form_runs_the_n_table(data, r: int, J: int, n: int) -> None:
+    # series_E hands its state to `accumulate` before each pair (2d+1, 2d+2):
+    # the state at depth J is the identity row, and each later one a row of N
+    i = data.draw(st.integers(1, r), label="i")
+    states = []
+
+    def record(ends, initial):
+        states.append(list(ends))
+        return accumulate(ends, initial=initial)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "accumulate", record)
+        gap = series_E(r, i, J, n)
+    depth = stop_depth(n, J) + 1
+    table = coeff_table("N", r, J, i, depth, n)
+    identity = [series_one(n) if j == r - i + 1 else series_zero(n) for j in range(1, r + 1)]
+    assert states[:1] in ([], [identity])
+    for d, ends in enumerate(states[1:], J + 1):
+        assert ends == [table.entry(j, d) for j in range(1, r + 1)], d
+    assert gap == table.entry(1, depth)
 
 
 def test_verify_hp_step_passes() -> None:

@@ -17,6 +17,7 @@ from gga_verify.partitions import (
     series_E,
 )
 from gga_verify.qseries import (
+    eq_up_to,
     product_geometric_inverses,
     series_one,
     series_zero,
@@ -111,3 +112,19 @@ def test_negative_truncation_is_rejected_by_the_validator(make) -> None:
     make(0)
     with pytest.raises(ParamOutOfRange, match=r"^n = -1 violates n >= 0$"):
         make(-1)
+
+
+# Floors of the other parameters: each call is valid at the floor and not one below.
+FLOORS = {
+    "MonomialIdeal.build": ("min_var", 1, lambda v: MonomialIdeal.build([], v, 5)),
+    "TruncatedSeries.__getitem__": ("degree", 0, lambda v: series_one(3)[v]),
+    "eq_up_to": ("n", 0, lambda v: eq_up_to(series_one(3), series_one(3), v)),
+    "product_geometric_inverses": ("part", 1, lambda v: product_geometric_inverses([v], 5)),
+}
+
+
+@pytest.mark.parametrize(("name", "low", "make"), FLOORS.values(), ids=FLOORS.keys())
+def test_parameter_floor_is_rejected_by_the_validator(name: str, low: int, make) -> None:
+    make(low)
+    with pytest.raises(ParamOutOfRange, match=rf"^{name} = {low - 1} violates {name} >= {low}$"):
+        make(low - 1)
