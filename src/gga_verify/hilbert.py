@@ -89,8 +89,10 @@ def _cap(j: int, k: int, ell: int, r: int) -> int:
 
 
 def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
-    """Plain family ideal anchored at k: the gap conditions of every part >= k."""
-    check_params(r=r, k=k, n=n)
+    """Plain family ideal anchored at k: the gap conditions of every part >= k.
+
+    `build_L_k_ell` validates r, k and n; its ell = r is valid whenever r is.
+    """
     return build_L_k_ell(k, r, r, n)
 
 
@@ -151,7 +153,11 @@ def _split(
         if s is not None and 2 * s > budget:
             s = None  # every step from s on weighs more than the budget
         # a generator is a single variable exactly when it weighs its first variable
-        p = min((g.exps[0][0] for g in gens if g.weight > g.exps[0][0]), default=budget + 1)
+        p = budget + 1
+        for w, exps in gens:
+            v = exps[0][0]
+            if v < p and v < w:
+                p = v
         p = p if s is None else min(p, s)
         if p > budget:
             solved.append(_lift([1] + [0] * budget, m, p, gens))

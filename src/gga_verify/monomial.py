@@ -178,36 +178,47 @@ def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
     order and never extends a monomial the ideal contains, so it visits the
     standard monomials and their immediate non-standard extensions only.
     Appending x_v to a standard m, whose variables are all <= v, can only
-    meet a generator whose largest variable is v: one without x_v would
-    already divide m.  The walk keeps its own stack, so its depth (the
-    number of parts) is not bounded by the interpreter's recursion limit.
+    meet a generator whose last pair is (v, e), with e the exponent of x_v
+    in m * x_v: one without x_v, or with a smaller power of it, would
+    already divide m, and one with a larger power cannot divide m * x_v.
+    So the generators are indexed by their last pair: each node looks up
+    one pair and compares only the other exponents of what it finds.  The
+    walk keeps its own stack, so its depth (the number of parts) is not
+    bounded by the interpreter's recursion limit.
     """
     counts = [0] * (n + 1)
     if ideal.is_unit:
         return counts
-    ending_at: dict[int, list[Exps]] = {}
+    ending_at: dict[tuple[int, int], list[Exps]] = {}
     for g in ideal.gens:
-        ending_at.setdefault(g.exps[-1][0], []).append(g.exps)
+        ending_at.setdefault(g.exps[-1], []).append(g.exps[:-1])
     exps = [0] * (n + 1)
     counts[0] = 1
-    # One frame per part of the current monomial: (next part to try, weight
-    # so far, the part that frame added).  The root frame added none; it
-    # names 0, a slot no generator reads.
-    stack = [(ideal.min_var, 0, 0)]
-    while stack:
-        v, w, last = stack[-1]
+    # The frame of the current monomial: the next part to try, its weight and
+    # the part it added last.  The root added none; it names 0, a slot no
+    # generator reads.  The stack holds the frames of its divisors.
+    v, w, last = ideal.min_var, 0, 0
+    stack: list[tuple[int, int, int]] = []
+    while True:
         if v > n - w:
-            stack.pop()
+            if not stack:
+                return counts
             exps[last] -= 1
+            v, w, last = stack.pop()
             continue
-        stack[-1] = (v + 1, w, last)
         exps[v] += 1
-        if any(all(exps[u] >= e for u, e in g) for g in ending_at.get(v, ())):
-            exps[v] -= 1
+        for rest in ending_at.get((v, exps[v]), ()):
+            for u, e in rest:
+                if exps[u] < e:
+                    break
+            else:
+                exps[v] -= 1
+                v += 1
+                break
         else:
             counts[w + v] += 1
-            stack.append((v, w + v, v))
-    return counts
+            stack.append((v + 1, w, last))
+            w, last = w + v, v
 
 
 # No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).

@@ -12,6 +12,7 @@ from gga_verify.monomial import (
     MonomialIdeal,
     _colon,
     _divides,
+    _standard_counts,
     add_var,
     colon_var,
     minimalize,
@@ -272,3 +273,24 @@ def test_colon_kernel_equals_the_literal_colon_on_seeded_ideals() -> None:
 @given(ideals(max_trunc=20, span=4))
 def test_colon_kernel_equals_the_literal_colon(ideal: MonomialIdeal) -> None:
     _assert_colon_is_literal(ideal)
+
+
+@st.composite
+def last_pair_ideals(draw, max_trunc: int) -> MonomialIdeal:
+    """A canonical ideal from a drawn min_var up to 3 whose generators end in
+    a power up to 5 of their last variable; a generator with nothing below
+    its last variable is a pure power x_v^e."""
+    min_var = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        last = draw(st.integers(min_var, min_var + 4))
+        exps = draw(st.dictionaries(st.integers(min_var, last), st.integers(1, 3), max_size=2))
+        gens.append(make_monomial(exps | {last: draw(st.integers(1, 5))}))
+    return MonomialIdeal.build(gens, min_var, draw(st.integers(max_trunc // 2, max_trunc)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(last_pair_ideals(max_trunc=18))
+def test_walk_keyed_by_last_pair_matches_the_filter_oracle(ideal: MonomialIdeal) -> None:
+    expected = [sum(1 for _ in standard_monomials(ideal, w)) for w in range(ideal.trunc + 1)]
+    assert _standard_counts(ideal, ideal.trunc) == expected

@@ -104,7 +104,7 @@ VERIFIER_MUTANTS = [
     ),
     (
         "pivot one variable up", hilbert, "_split",
-        "g.exps[0][0] for g in gens if g.weight", "g.exps[0][0] + 1 for g in gens if g.weight",
+        "p = v\n", "p = v + 1\n",
         {("hp_expansion", "expansion"), ("hp_step", "full_step"),
          ("limits", "n_stabilizes_to_quotient"), ("main", "quotient_vs_gap")},
     ),
@@ -315,8 +315,13 @@ HILBERT_ARGV = ["hilbert", "--family", "LriJ", "--r", "3", "--i", "2", "--N", "2
 # (name, token in the source of monomial._standard_counts, its replacement):
 # each breaks hp_brute's order-ideal walk, so the two quotient engines disagree
 BRUTE_WALK_MUTANTS = [
-    ("generator met one power late", "exps[u] >= e", "exps[u] > e"),
-    ("generators looked up one variable down", "ending_at.get(v, ())", "ending_at.get(v - 1, ())"),
+    ("generator met one power late", "if exps[u] < e:", "if exps[u] <= e:"),
+    (
+        "generators looked up one variable down",
+        "ending_at.get((v, exps[v]), ())",
+        "ending_at.get((v - 1, exps[v]), ())",
+    ),
+    ("last power looked up one early", "(v, exps[v])", "(v, exps[v] - 1)"),
 ]
 
 

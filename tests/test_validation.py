@@ -128,3 +128,16 @@ def test_parameter_floor_is_rejected_by_the_validator(name: str, low: int, make)
     make(low)
     with pytest.raises(ParamOutOfRange, match=rf"^{name} = {low - 1} violates {name} >= {low}$"):
         make(low - 1)
+
+
+# (k, r, n) with one or more parameters out of range; r is reported first.
+PLAIN_FAMILY_BAD = [(1, 1, 8), (0, 2, 8), (1, 2, -1), (0, 2, -1), (0, 1, -1)]
+
+
+@pytest.mark.parametrize(("k", "r", "n"), PLAIN_FAMILY_BAD)
+def test_plain_family_is_validated_as_the_capped_family_at_ell_r(k: int, r: int, n: int) -> None:
+    with pytest.raises(ParamOutOfRange) as plain:
+        build_L_k(k, r, n)
+    with pytest.raises(ParamOutOfRange) as capped:
+        build_L_k_ell(k, r, r, n)
+    assert str(plain.value) == str(capped.value)
