@@ -1,19 +1,19 @@
 """Batch command-line front end with machine-readable JSON output.
 
 Four subcommands: `series` prints one generating series, `count` one counting
-value, `hilbert` dumps an ideal with its series by both engines, and `verify`
-streams identity-check reports.  Each handler only yields (JSON record,
-passed) pairs; `run` is the one writer.  It prints each record as one JSON
-line, or with `--format table` as the tab-separated view `_table` makes of
-it, flushes it, and sets the exit code: 0 every record passed, 1 an identity
-mismatched, 2 usage or parameter error (an unwritable --out target
-included), 3 an exact-division failure or a certified-range violation in the
-engine, 4 any other internal error (a reader that closes the output early
-included), reported as one `internal error: <Type>: <message>` line on
-stderr when it is open.  `--out` follows a symlink; a target that is not a
-regular file exits 2 before any computation.  It is written beside the
-target and moved into place only on exit 0 or 1, so a failed run leaves the
-target as it was.  Each handler imports only the engines it runs.
+value, `hilbert` a family ideal with its series by `hp_brute` and by `verify`'s
+engine `hp_notation` (keyed `hp_split` for byte-stable output), and `verify`
+streams identity-check reports.  Each handler loads only the engines it runs
+and yields (JSON record, passed) pairs; `run`, the one writer, prints each
+record as one JSON line, or with `--format table` as the tab-separated view
+`_table` makes of it, flushes it, and sets the exit code: 0 all records passed,
+1 an identity mismatched, 2 usage or parameter error (an unwritable --out
+target included), 3 an exact-division failure or a certified-range violation in
+the engine, 4 any other internal error (a reader that closes the output early
+included), reported as one `internal error: <Type>: <message>` line on stderr
+when it is open.  `--out` follows a symlink; a target that is not a regular
+file exits 2 before any computation.  It is written beside the target and moved
+into place only on exit 0 or 1, so a failed run leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _cmd_count(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
-    from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_split
+    from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_notation
     from .qseries import eq_up_to
 
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
@@ -179,7 +179,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
         ideal = build_L_k_ell(args.k, args.ell, args.r, args.N)
         params = {"k": args.k, "ell": args.ell, "r": args.r, "N": args.N}
     brute = hp_brute(ideal)
-    split = hp_split(ideal)
+    split = hp_notation(ideal.min_var, args.i or args.ell, args.r, args.N)  # Lk has no cap flag
     agree, _ = eq_up_to(brute, split, args.N)
     yield {
         "family": args.family,
@@ -187,7 +187,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
         "min_var": ideal.min_var,
         "generators": [str(g) for g in ideal.gens],
         "hp_brute": brute.to_json_dict(),
-        "hp_split": split.to_json_dict(),
+        "hp_split": split.to_json_dict(),  # the key is kept for byte-stable output
         "engines_agree": agree,
     }, agree
 

@@ -22,13 +22,13 @@ a monomial ideal, truncated at degree N:
   at most s.  A split on x_p changes only steps p-2..p, and a generator
   that loses its last x_p lives on x_{p+1} and x_{p+2}, so it divides only
   generators of steps up to p+2: steps s..p+2 join the head before the
-  split, and s moves to p+3.  The lift is the Hilbert series of the free
-  variables, not a count of partitions: the engine stays colon/add
-  arithmetic on generators, while a transfer matrix over part
-  multiplicities would compute the gap side's `series_E` again.
+  split, and s moves to p+3.  The lift is the series of the free variables,
+  not a partition count: a transfer matrix over part multiplicities would
+  compute the gap side's `series_E` again.
 
-Both engines keep their own stack, so neither is bounded by the
-interpreter's recursion limit.
+Every command runs `_split` via hp_notation, which builds no family ideal;
+hp_split runs it with no tail on a built ideal, as the tests' reference.
+Both engines keep their own stack, clear of the recursion limit.
 
 The ideal families encode the gap conditions of the partition identities:
 squares of odd variables, odd-even neighbor products, and two staircase
@@ -115,6 +115,7 @@ def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
     return TruncatedSeries(tuple(_standard_counts(ideal, ideal.trunc)))
 
 
+# No caller in src/; kept while bench/tracer.py binds it (ROADMAP items 1, 4).
 def hp_split(ideal: MonomialIdeal, *, ctx: RunContext | None = None) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient by `ideal`, by colon/add splitting.
 

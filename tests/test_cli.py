@@ -246,14 +246,48 @@ def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     assert (code, out) == (1, 'FAIL\tmain\t{"r":2}\n')
 
 
+# One hilbert run per family, byte for byte; the second series is keyed
+# hp_split, whichever splitting mode computes it
+HILBERT_BYTES = {
+    "hilbert --family LriJ --r 2 --i 1 --N 6": (
+        '{"family":"LriJ","params":{"r":2,"i":1,"J":0,"N":6},"min_var":1,'
+        '"generators":["x1","x2","x3^2"],'
+        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
+        '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
+    ),
+    "hilbert --family Lk --k 3 --r 2 --N 8": (
+        '{"family":"Lk","params":{"k":3,"r":2,"N":8},"min_var":3,'
+        '"generators":["x3^2","x3*x4","x4^2"],'
+        '"hp_brute":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
+        '"hp_split":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
+        '"engines_agree":true}\n'
+    ),
+    "hilbert --family Lkl --k 2 --ell 1 --r 3 --N 6": (
+        '{"family":"Lkl","params":{"k":2,"ell":1,"r":3,"N":6},"min_var":2,'
+        '"generators":["x2","x3^2"],'
+        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
+        '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
+    ),
+}
+
+
+def test_hilbert_runs_the_verify_engine_not_hp_split(monkeypatch: pytest.MonkeyPatch) -> None:
+    def unused(*args, **kwargs):
+        raise AssertionError("hilbert called hp_split")
+
+    monkeypatch.setattr(hilbert, "hp_split", unused)
+    for argv, expected in HILBERT_BYTES.items():
+        assert run_cli(*argv.split()) == (0, expected)
+
+
 def _bumped(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries((series.coeffs[0] + 1,) + series.coeffs[1:])
 
 
 def test_exit_one_only_where_two_engines_disagree(monkeypatch: pytest.MonkeyPatch, tmp_path) -> None:
     # every engine below returns a wrong value, but only hilbert compares two of them
-    split = hilbert.hp_split
-    monkeypatch.setattr(hilbert, "hp_split", lambda ideal, **kw: _bumped(split(ideal, **kw)))
+    split = hilbert.hp_notation
+    monkeypatch.setattr(hilbert, "hp_notation", lambda *a, **kw: _bumped(split(*a, **kw)))
     argv = ["hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "8"]
     code, out = run_cli(*argv)
     assert code == 1

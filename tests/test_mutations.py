@@ -13,8 +13,9 @@ the exact set of (check, clause) pairs it fails.  The quotient side's rows
 reach the family steps, the cap rule and the splitting engine's lift, head
 copy, tail start and pivot.  A census maps every clause of the lemma run to
 the rows that fail it, and only the clauses in `UNREACHED` have none.
-Mutants of `hp_brute`'s order-ideal walk make the two engines of `hilbert`
-disagree, and the CLI exits 1.  A mutant that breaks the product-side
+Mutants of `hp_brute`'s order-ideal walk, and rows that break the implicit
+family tail of `hp_notation`, make the two engines of `hilbert` disagree,
+and the CLI exits 1.  A mutant that breaks the product-side
 cascade's own exact division is caught before any identity is compared: it
 raises `NonDivisible` and the CLI exits 3.  See
 DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE Computer
@@ -113,6 +114,12 @@ VERIFIER_MUTANTS = [
         ".shift(2 * (d + 1) * (j - 1))", ".shift(2 * d * (j - 1))",
         {("c_expansion", "expansion"), ("hp_expansion", "expansion"),
          ("limits", "m_entry_vanishes")},
+    ),
+    (
+        "root tail starts at k+4", recursion, "hp_notation", "r, k + 3)", "r, k + 4)",
+        {("hp_expansion", "expansion"), ("hp_step", "even_cascade"), ("hp_step", "full_step"),
+         ("hp_step", "odd_step"), ("limits", "n_stabilizes_to_quotient"),
+         ("main", "quotient_vs_gap")},
     ),
     (
         "plain family capped at r - 1", recursion, "hp_notation",
@@ -252,10 +259,6 @@ def test_product_side_d_factor_mutant_is_caught(monkeypatch) -> None:
 
 # The (check, clause) pairs of LEMMAS_ARGV that no committed mutant fails, and why.
 UNREACHED = {
-    # "root tail starts at k+4" fails both on LEMMAS_ARGV, but its row runs
-    # verify_main only
-    ("hp_step", "even_cascade"),
-    ("hp_step", "odd_step"),
     # M and N share one coeff_table step, and the pivot changes no valuation,
     # so no one-token mutant fails N's vanishing entries while M's pass
     ("limits", "n_entry_vanishes"),
@@ -337,3 +340,27 @@ def test_brute_walk_mutant_is_caught(monkeypatch, token: str, replacement: str) 
     assert code == 1
     assert record["engines_agree"] is False
     assert record["hp_brute"]["coeffs"] != record["hp_split"]["coeffs"]
+
+
+# (argv, name of a QUOTIENT_SIDE_MUTANTS or VERIFIER_MUTANTS row): hilbert runs
+# hp_notation with its implicit tail, so each row makes the two engines disagree
+HILBERT_TAIL_MUTANTS = [
+    (HILBERT_ARGV, "one step fewer copied into the head"),
+    (HILBERT_ARGV, "tail starts one step late"),
+    (HILBERT_ARGV, "tail dropped while step s fits"),
+    (HILBERT_ARGV, "root tail starts at k+4"),
+    (["hilbert", "--family", "Lk", "--k", "3", "--r", "3", "--N", "20"],
+     "plain family capped at r - 1"),
+]
+MUTANT_ROWS = {m[0]: m[2:5] for m in QUOTIENT_SIDE_MUTANTS + VERIFIER_MUTANTS}
+
+
+@pytest.mark.parametrize(
+    "argv, row", HILBERT_TAIL_MUTANTS, ids=[m[1] for m in HILBERT_TAIL_MUTANTS]
+)
+def test_hilbert_tail_mutant_is_caught(monkeypatch, argv: list[str], row: str) -> None:
+    name, token, replacement = MUTANT_ROWS[row]
+    monkeypatch.setattr(hilbert, name, mutant(getattr(hilbert, name), token, replacement))
+    code, [record] = run_verify(argv)
+    assert code == 1
+    assert record["engines_agree"] is False
