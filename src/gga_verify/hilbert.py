@@ -16,8 +16,9 @@ a monomial ideal, truncated at degree N:
   series of the generators on x_p and up.  A sub-problem is keyed by
   (p, those generators, r, tail start s) in `RunContext.splits`, with no
   budget: generators above a budget are never kept, so each key keeps its
-  longest series and a smaller budget reads a prefix.  The kernels
-  monomial._colon and _add change only the generators that contain x_p.
+  longest series and a smaller budget reads a prefix.  The generators on
+  x_p and up contain x_p exactly when they start at p: monomial._colon
+  changes only those, and A/(I, x_p) is the ring from x_{p+1} without them.
   For a family ideal the steps from s on stay implicit, and the pivot is
   at most s.  A split on x_p changes only steps p-2..p, and a generator
   that loses its last x_p lives on x_{p+1} and x_{p+2}, so it divides only
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 from .context import RunContext
 from .errors import check_params
-from .monomial import Monomial, MonomialIdeal, _add, _colon, _standard_counts, minimalize
+from .monomial import Monomial, MonomialIdeal, _colon, _standard_counts, minimalize
 from .qseries import TruncatedSeries
 
 
@@ -175,7 +176,7 @@ def _split(
         # Last in, first out: the add branch runs first, then the colon.
         todo.append((m, gens, None, budget, key))
         todo.append((p, _colon(upper, p, budget - p), s, budget - p, None))
-        todo.append((p, _add(upper, p, budget), s, budget, None))
+        todo.append((p + 1, tuple(g for g in upper if g.exps[0][0] > p), s, budget, None))
     return TruncatedSeries(tuple(solved.pop()))
 
 

@@ -8,14 +8,13 @@ weight above the truncation discarded since they cannot divide any monomial
 that is still counted.
 
 A monomial is the named tuple (weight, exps) with its weight stored, so the
-builders, `minimalize`, the colon and add kernels and the splitting memo of
+builders, `minimalize`, the colon kernel and the splitting memo of
 `hilbert._split` all run on one type, in plain tuple order; an ideal is the
 named tuple (gens, min_var, trunc), made canonical by `MonomialIdeal.build`.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterable, NamedTuple
 
 from .errors import TruncationTooShort, check_params
@@ -137,22 +136,6 @@ def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, 
     return tuple(sorted(changed + rest)) if changed else tuple(rest)
 
 
-def _add(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:
-    """I + (x_var) on sorted generators.
-
-    When x_var lies outside I, no generator divides x_var, and x_var divides
-    exactly the generators that contain it: those go and x_var comes in.
-    When x_var lies in I (I is the unit ideal or has x_var among its
-    generators), or weighs more than the truncation, I is unchanged.
-    """
-    x = Monomial(var, ((var, 1),))
-    if var > trunc or (gens and not gens[0].weight) or x in gens:
-        return gens
-    kept = [g for g in gens if not _exponent(g.exps, var)]
-    insort(kept, x)
-    return tuple(kept)
-
-
 # No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """The colon ideal (I : x_var), kept canonical without re-minimalizing (see _colon)."""
@@ -163,10 +146,9 @@ def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
 
 # No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def add_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The enlarged ideal I + (x_var), kept canonical without re-minimalizing (see _add)."""
-    if var < ideal.min_var:
-        raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    return MonomialIdeal(_add(ideal.gens, var, ideal.trunc), ideal.min_var, ideal.trunc)
+    """The enlarged ideal I + (x_var), made canonical by `MonomialIdeal.build`."""
+    x = Monomial(var, ((var, 1),))
+    return MonomialIdeal.build(ideal.gens + (x,), ideal.min_var, ideal.trunc)
 
 
 def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:

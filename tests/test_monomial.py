@@ -162,6 +162,10 @@ def test_add_var_examples() -> None:
     unit = MonomialIdeal.build([UNIT], 1, 10)
     assert add_var(unit, 2) == unit
     assert colon_var(unit, 2) == unit
+    above = MonomialIdeal.build([m(x1=2)], 1, 3)
+    assert add_var(above, 5) == above  # x5 weighs more than the truncation
+    present = MonomialIdeal.build([m(x2=1)], 1, 10)
+    assert add_var(present, 2) == present
 
 
 def test_standard_count_examples() -> None:

@@ -6,13 +6,14 @@ The verifier must then report a failure that names the expected clause
 and a witness at a low degree, and the CLI must exit 1 (an identity
 mismatched), never 3 or 4.  Besides the three sides, rows reach the final
 division by theta(1, 4) that applies D to every product series, the
-coefficient tables' identity entry and depth step, the enlargement kernel
-`_add`, the splitting engine's leaf series, combine and pivot offset, the
+coefficient tables' identity entry and depth step, the ring start of the
+splitting engine's add branch, its leaf series, combine and pivot offset, the
 plain family's cap, and the literal level-zero oracle; each of these names
 the exact set of (check, clause) pairs it fails.  The quotient side's rows
 reach the family steps, the cap rule and the splitting engine's lift, head
-copy, tail start and pivot.  A census maps every clause of the lemma run to
-the rows that fail it, and only the clauses in `UNREACHED` have none.
+copy, tail start, pivot and add branch.  A census maps every clause of the
+lemma run to the rows that fail it, and only the clauses in `UNREACHED`
+have none.
 Mutants of `hp_brute`'s order-ideal walk, and rows that break the implicit
 family tail of `hp_notation`, make the two engines of `hilbert` disagree,
 and the CLI exits 1.  A mutant that breaks the product-side
@@ -59,6 +60,8 @@ QUOTIENT_SIDE_MUTANTS = [
     ("pivot ignores the tail", hilbert, "_split", "else min(p, s)", "else p"),
     ("tail dropped while step s fits", hilbert, "_split", "2 * s > budget", "2 * s >= budget"),
     ("root tail starts at k+4", recursion, "hp_notation", "r, k + 3)", "r, k + 4)"),
+    ("add branch starts one variable late", hilbert, "_split",
+     "todo.append((p + 1,", "todo.append((p + 2,"),
 ]
 
 # (name, module the function is patched on, function, token in its source, its replacement,
@@ -88,7 +91,7 @@ VERIFIER_MUTANTS = [
          ("limits", "m_stabilizes_to_product")},
     ),
     (
-        "added variable dropped", hilbert, "_add", "insort(kept, x)", "pass",
+        "added variable dropped", hilbert, "_split", "todo.append((p + 1,", "todo.append((p,",
         {("main", "quotient_vs_gap"), ("hp_step", "full_step"), ("hp_expansion", "expansion"),
          ("limits", "n_stabilizes_to_quotient")},
     ),
