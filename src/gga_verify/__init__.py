@@ -17,7 +17,7 @@ from importlib import import_module
 _EXPORTS = {
     "context": ("RunContext",),
     "errors": ("NonDivisible", "ParamOutOfRange", "TruncationTooShort"),
-    "hilbert": ("build_L_k", "build_L_k_ell", "build_L_riJ", "hp_brute", "hp_notation", "hp_split"),
+    "hilbert": ("build_L_k_ell", "hp_brute", "hp_notation", "hp_split"),
     "partitions": ("count_C", "count_D", "count_E", "series_E"),
     "qseries": ("TruncatedSeries", "eq_up_to"),
     "recursion": (

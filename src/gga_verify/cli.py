@@ -164,22 +164,21 @@ def _cmd_count(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
-    from .hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_brute, hp_notation
+    from .hilbert import build_L_k_ell, hp_brute, hp_notation
     from .qseries import eq_up_to
 
     check_params(r=args.r, N=args.N)  # name the flag, before any computation
     _check_flags(args, f"family {args.family}", _HILBERT_FLAGS[args.family])
-    if args.family == "LriJ":
-        ideal = build_L_riJ(args.r, args.i, args.J, args.N)
-        params = {"r": args.r, "i": args.i, "J": args.J, "N": args.N}
-    elif args.family == "Lk":
-        ideal = build_L_k(args.k, args.r, args.N)
-        params = {"k": args.k, "r": args.r, "N": args.N}
-    else:
-        ideal = build_L_k_ell(args.k, args.ell, args.r, args.N)
-        params = {"k": args.k, "ell": args.ell, "r": args.r, "N": args.N}
+    check_params(r=args.r, i=args.i, J=args.J)  # LriJ's errors name i and J, not ell and k
+    k, ell, names = {  # each family's anchor, cap and params
+        "LriJ": (2 * args.J + 1, args.i, ("r", "i", "J", "N")),
+        "Lk": (args.k, args.r, ("k", "r", "N")),
+        "Lkl": (args.k, args.ell, ("k", "ell", "r", "N")),
+    }[args.family]
+    ideal = build_L_k_ell(k, ell, args.r, args.N)
+    params = {name: getattr(args, name) for name in names}
     brute = hp_brute(ideal)
-    split = hp_notation(ideal.min_var, args.i or args.ell, args.r, args.N)  # Lk has no cap flag
+    split = hp_notation(k, ell, args.r, args.N)
     agree, _ = eq_up_to(brute, split, args.N)
     yield {
         "family": args.family,

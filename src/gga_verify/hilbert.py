@@ -89,24 +89,6 @@ def _cap(j: int, k: int, ell: int, r: int) -> int:
     return ell if j - k <= k % 2 else r
 
 
-def build_L_k(k: int, r: int, n: int) -> MonomialIdeal:
-    """Plain family ideal anchored at k: the gap conditions of every part >= k.
-
-    `build_L_k_ell` validates r, k and n; its ell = r is valid whenever r is.
-    """
-    return build_L_k_ell(k, r, r, n)
-
-
-def build_L_riJ(r: int, i: int, J: int, n: int) -> MonomialIdeal:
-    """Boundary ideal: the family ideal at k = 2J+1 with cap i.
-
-    Its generators on x_{2J+1} are x_{2J+1}^2 and x_{2J+1} * x_{2J+2}^{i-1},
-    which at i = 1 degenerates to x_{2J+1} and subsumes the square.
-    """
-    check_params(r=r, i=i, J=J, n=n)
-    return build_L_k_ell(2 * J + 1, i, r, n)
-
-
 def hp_brute(ideal: MonomialIdeal) -> TruncatedSeries:
     """Hilbert-Poincare series of the quotient by `ideal`, by standard-monomial counting.
 
@@ -198,16 +180,15 @@ def _hp_notation_cached(k: int, ell: int, r: int, n: int) -> MonomialIdeal:
 
 
 def hp_notation(
-    k: int, ell: int | None, r: int, n: int, *, ctx: RunContext | None = None
+    k: int, ell: int, r: int, n: int, *, ctx: RunContext | None = None
 ) -> TruncatedSeries:
-    """Series of the quotient by the family ideal at k (plain when ell is None).
+    """Series of the quotient by the family ideal at k with cap ell (plain at ell = r).
 
-    The plain ideal is the one with cap ell = r.  No family ideal is built: the
-    root head is the minimal set of steps k..k+2 (ell caps steps k and k+1 only),
-    and `_split` leaves the steps from k+3 on implicit, on the memo of `ctx`.
+    No family ideal is built: the root head is the minimal set of steps k..k+2
+    (ell caps steps k and k+1 only), and `_split` leaves the steps from k+3 on
+    implicit, on the memo of `ctx`.
     """
     check_params(r=r, k=k, ell=ell, n=n)
-    ell = r if ell is None else ell
     steps = [g for j in range(k, k + 3) for g in _step_gens(j, _cap(j, k, ell, r), r)]
     splits = (RunContext() if ctx is None else ctx).splits
     return _split(minimalize(g for g in steps if g.weight <= n), k, n, splits, r, k + 3)

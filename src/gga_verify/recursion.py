@@ -227,8 +227,8 @@ def verify_hp_step(
                    + sum_{j=1}^{ell}   q^((k+1)(j-1)) HP(k+2, r-j+1)
     together with its two building blocks: the odd step
     HP(k, ell) = q^k HP(k+1, ell-1) + HP(k+1, ell) (for ell > 1; at ell = 1
-    the step degenerates to HP(k, 1) = HP(k+2, plain)) and the even-index
-    cascade HP(k+1, ell) = sum_{j=1}^{ell} q^((k+1)(j-1)) HP(k+2, r-j+1).
+    the step degenerates to HP(k, 1) = HP(k+2, r), the plain family) and the
+    even-index cascade HP(k+1, ell) = sum_{j=1}^{ell} q^((k+1)(j-1)) HP(k+2, r-j+1).
     """
     check_params(r=r, k=k, ell=ell, J=J, n=n)
     if k % 2 == 0 or k < 2 * J + 1:
@@ -236,7 +236,7 @@ def verify_hp_step(
     params: dict[str, object] = {"r": r, "k": k, "ell": ell, "J": J, "N": n}
     ctx = RunContext() if ctx is None else ctx
 
-    def hp(kk: int, ll: int | None) -> TruncatedSeries:
+    def hp(kk: int, ll: int) -> TruncatedSeries:
         return hp_notation(kk, ll, r, n, ctx=ctx)
 
     lhs = hp(k, ell)
@@ -249,7 +249,7 @@ def verify_hp_step(
 
     clauses = [("full_step", lhs, rhs)]
     if ell == 1:
-        clauses.append(("odd_step_degenerate", lhs, hp(k + 2, None)))
+        clauses.append(("odd_step_degenerate", lhs, hp(k + 2, r)))
     else:
         clauses.append(("odd_step", lhs, hp(k + 1, ell - 1).shift(k) + hp(k + 1, ell)))
     clauses.append(("even_cascade", hp(k + 1, ell), cascade))
@@ -350,7 +350,7 @@ def verify_limits(r: int, i: int, J: int, n: int, *, ctx: RunContext | None = No
     for m in range(2, r + 1):
         clauses.append((f"m_entry_vanishes[j={m}]", m_table.entry(m, depth), zero))
         clauses.append((f"n_entry_vanishes[j={m}]", n_table.entry(m, depth), zero))
-    clauses.append(("hp_tail_is_one", hp_notation(2 * d_stop + 3, None, r, n, ctx=ctx), one))
+    clauses.append(("hp_tail_is_one", hp_notation(2 * d_stop + 3, r, r, n, ctx=ctx), one))
     tail = c_series(r, (r - 1) * (d_stop + 1) + 1, n, ctx=ctx)
     clauses.append(("product_tail_is_one", tail, one))
     head = c_series(r, (r - 1) * J + ell, n, ctx=ctx)

@@ -15,13 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from gga_verify.hilbert import (
-    build_L_k_ell,
-    build_L_riJ,
-    hp_brute,
-    hp_notation,
-    hp_split,
-)
+from gga_verify.hilbert import build_L_k_ell, hp_brute, hp_notation, hp_split
 from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import allowed_parts_C, count_C, count_D, series_D, series_E
 from gga_verify.qseries import eq_up_to, product_geometric_inverses, series_one
@@ -35,7 +29,13 @@ from gga_verify.recursion import (
     verify_mn_tables,
 )
 
-from oracles import make_monomial, restricted_partition_count, transcribed_boundary_ideal, valuation
+from oracles import (
+    make_monomial,
+    restricted_partition_count,
+    transcribed_boundary_ideal,
+    transcribed_family_ideal,
+    valuation,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,7 +88,7 @@ def test_criterion_3_hilbert_bridge_to_thirty(acceptance_log) -> None:
         for r in (2, 3):
             for i in range(1, r + 1):
                 for J in (0, 1, 2):
-                    ideal = build_L_riJ(r, i, J, 30)
+                    ideal = build_L_k_ell(2 * J + 1, i, r, 30)
                     ok, mismatch = eq_up_to(hp_brute(ideal), series_E(r, i, J, 30), 30)
                     assert ok, (r, i, J, mismatch)
 
@@ -111,7 +111,7 @@ def _seeded_random_ideals(count: int, trunc: int) -> list[MonomialIdeal]:
 def test_criterion_4_engine_equivalence(acceptance_log) -> None:
     with criterion(acceptance_log, 4, "split engine equals brute engine through q^25"):
         ideals = [
-            build_L_riJ(r, i, J, 25)
+            build_L_k_ell(2 * J + 1, i, r, 25)
             for r in (2, 3)
             for i in range(1, r + 1)
             for J in (0, 1, 2)
@@ -129,17 +129,15 @@ def test_criterion_5_structure_notes(acceptance_log) -> None:
             for k in range(1, 10):
                 lhs = hp_notation(k, 1, r, n)
                 step = k + 1 if k % 2 == 0 else k + 2
-                assert eq_up_to(lhs, hp_notation(step, None, r, n), n)[0], ("N1", r, k)
-                assert eq_up_to(hp_notation(k, r, r, n), hp_notation(k, None, r, n), n)[0], (
-                    "N2", r, k,
-                )
+                assert eq_up_to(lhs, hp_notation(step, r, r, n), n)[0], ("N1", r, k)
+                plain = MonomialIdeal.build(transcribed_family_ideal(k, None, r, n), k, n)
+                assert eq_up_to(hp_notation(k, r, r, n), hp_brute(plain), n)[0], ("N2", r, k)
             for i in range(1, r + 1):
                 for J in (0, 1, 2, 3, 4):  # keeps 2J+1 <= 9
-                    direct = build_L_riJ(r, i, J, n)
                     via_ell = build_L_k_ell(2 * J + 1, i, r, n)
                     literal = transcribed_boundary_ideal(r, i, J, n)
                     assert set(via_ell.gens) == literal, ("N3 generators", r, i, J)
-                    hp = hp_split(direct)
+                    hp = hp_split(via_ell)
                     assert eq_up_to(hp, hp_notation(2 * J + 1, i, r, n), n)[0], ("N3", r, i, J)
 
 
@@ -177,7 +175,7 @@ def test_criterion_8_limit_shadows(acceptance_log) -> None:
         n = 30
         for r in (2, 3):
             for d in range(11):
-                tail = hp_notation(2 * d + 3, None, r, n) - series_one(n)
+                tail = hp_notation(2 * d + 3, r, r, n) - series_one(n)
                 v = valuation(tail)
                 assert v is not None and v >= 2 * d + 3, (r, d, v)
         for r in (2, 3):

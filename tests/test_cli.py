@@ -122,6 +122,28 @@ def test_flag_the_family_or_kind_does_not_read_is_rejected(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Per family, flags with an out-of-range anchor or cap, and the one error line:
+# LriJ's name i and J, not the k and ell of the family ideal it builds.
+FAMILY_PARAM = {
+    "LriJ-i=4": ("LriJ --i 4", "i = 4 violates 1 <= i <= 3"),
+    "LriJ-i=0": ("LriJ --i 0", "i = 0 violates 1 <= i <= 3"),
+    "LriJ-J=-1": ("LriJ --i 2 --J -1", "J = -1 violates J >= 0"),
+    "LriJ-i=9-J=-2": ("LriJ --i 9 --J -2", "i = 9 violates 1 <= i <= 3"),
+    "Lk-k=0": ("Lk --k 0", "k = 0 violates k >= 1"),
+    "Lkl-ell=4": ("Lkl --k 3 --ell 4", "ell = 4 violates 1 <= ell <= 3"),
+    "Lkl-ell=0": ("Lkl --k 3 --ell 0", "ell = 0 violates 1 <= ell <= 3"),
+    "Lkl-k=0-ell=9": ("Lkl --k 0 --ell 9", "k = 0 violates k >= 1"),
+}
+
+
+@pytest.mark.parametrize(("flags", "message"), FAMILY_PARAM.values(), ids=FAMILY_PARAM.keys())
+def test_family_parameter_out_of_range_is_named(
+    flags: str, message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert run_cli("hilbert", "--r", "3", "--family", *flags.split()) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_hilbert_families() -> None:
     code, out = run_cli("hilbert", "--family", "LriJ", "--r", "2", "--i", "2", "--J", "0", "--N", "20")
     assert code == 0

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from gga_verify import cli, hilbert
 from gga_verify.context import RunContext
 from gga_verify.errors import ParamOutOfRange
-from gga_verify.hilbert import (
-    build_L_k,
-    build_L_k_ell,
-    build_L_riJ,
-    hp_brute,
-    hp_notation,
-    hp_split,
-)
+from gga_verify.hilbert import build_L_k_ell, hp_brute, hp_notation, hp_split
 from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, minimalize
 from gga_verify.partitions import count_E, series_E
 from gga_verify.qseries import TruncatedSeries, eq_up_to, product_geometric_inverses, series_one
@@ -38,38 +31,39 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_build_L_riJ_matches_independent_transcription() -> None:
     for r, i, J, n in [(2, 2, 0, 8), (2, 1, 0, 12), (3, 2, 1, 16), (4, 4, 0, 14)]:
-        ideal = build_L_riJ(r, i, J, n)
+        ideal = build_L_k_ell(2 * J + 1, i, r, n)
         assert set(ideal.gens) == transcribed_boundary_ideal(r, i, J, n)
         assert ideal.min_var == 2 * J + 1
 
 
 def test_every_builder_matches_the_literal_transcription() -> None:
-    # the three builders share one code path, so notes N2 (L(k, r) = L_k) and
+    # one builder makes every family, so notes N2 (L(k, r) = L_k) and
     # N3 (L(2J+1, i) = L(r, i, J)) are checked against definitions written
     # out separately, not against each other
     for r in range(2, 6):
         for n in (0, 1, 7, 25):
             for k in range(1, 10):
-                assert set(build_L_k(k, r, n).gens) == transcribed_family_ideal(k, None, r, n)
+                plain = transcribed_family_ideal(k, None, r, n)
+                assert set(build_L_k_ell(k, r, r, n).gens) == plain
                 for ell in range(1, r + 1):
                     expected = transcribed_family_ideal(k, ell, r, n)
                     assert set(build_L_k_ell(k, ell, r, n).gens) == expected, (k, ell, r, n)
             for i in range(1, r + 1):
                 for J in range(5):  # keeps 2J+1 <= 9
                     expected = transcribed_boundary_ideal(r, i, J, n)
-                    assert set(build_L_riJ(r, i, J, n).gens) == expected, (r, i, J, n)
+                    assert set(build_L_k_ell(2 * J + 1, i, r, n).gens) == expected, (r, i, J, n)
 
 
 def test_build_L_riJ_golden_r2_i2_J0() -> None:
     data = json.loads((GOLDEN / "ideal_LriJ_r2_i2_J0_N8.json").read_text())
-    ideal = build_L_riJ(2, 2, 0, 8)
+    ideal = build_L_k_ell(1, 2, 2, 8)
     assert [str(g) for g in ideal.gens] == data["generators"]
     hp = hp_brute(ideal)
     assert [str(c) for c in hp.coeffs] == data["hp"]
 
 
 def test_build_L_riJ_exponent_zero_degeneration_at_i1() -> None:
-    ideal = build_L_riJ(2, 1, 1, 12)
+    ideal = build_L_k_ell(3, 1, 2, 12)
     gens = {str(g) for g in ideal.gens}
     assert "x3" in gens          # x_{2J+1} * x_{2J+2}^0 collapses to x_{2J+1}
     assert "x3^2" not in gens    # and subsumes the square
@@ -77,8 +71,8 @@ def test_build_L_riJ_exponent_zero_degeneration_at_i1() -> None:
 
 def test_builders_respect_weight_truncation() -> None:
     for ideal in [
-        build_L_riJ(3, 2, 1, 17),
-        build_L_k(4, 3, 17),
+        build_L_k_ell(3, 2, 3, 17),
+        build_L_k_ell(4, 3, 3, 17),
         build_L_k_ell(3, 2, 4, 17),
     ]:
         assert all(g.weight <= 17 for g in ideal.gens)
@@ -88,14 +82,14 @@ def test_builders_respect_weight_truncation() -> None:
 
 
 def test_build_L_k_contains_pure_power_at_n1_zero() -> None:
-    ideal = build_L_k(4, 3, 20)
+    ideal = build_L_k_ell(4, 3, 3, 20)
     assert make_monomial({4: 3}) in set(ideal.gens)  # x_{2c}^r at n1 = 0
     assert ideal.min_var == 4
 
 
 def test_build_L_k_odd_even_anchors() -> None:
-    odd_anchor = build_L_k(3, 2, 12)
-    even_anchor = build_L_k(4, 2, 12)
+    odd_anchor = build_L_k_ell(3, 2, 2, 12)
+    even_anchor = build_L_k_ell(4, 2, 2, 12)
     assert make_monomial({3: 2}) in set(odd_anchor.gens)
     assert all(g.exps[0][0] >= 4 for g in even_anchor.gens)
 
@@ -104,7 +98,7 @@ def test_build_L_k_relates_to_boundary_ideal() -> None:
     # adjoining the three boundary generators to the anchored family ideal
     # and minimalizing reproduces the boundary ideal
     r, i, J, n = 3, 2, 1, 20
-    family = build_L_k(2 * J + 2, r, n)
+    family = build_L_k_ell(2 * J + 2, r, r, n)
     boundary = [
         make_monomial({2 * J + 1: 2}),
         make_monomial({2 * J + 1: 1, 2 * J + 2: i - 1}),
@@ -126,15 +120,15 @@ def test_build_L_k_ell_even_degenerate_ell_one() -> None:
     assert make_monomial({2: 1}) in gens
     # HP equals the plain family quotient one variable up
     lhs = hp_split(ideal)
-    rhs = hp_notation(3, None, 3, 15)
+    rhs = hp_notation(3, 3, 3, 15)
     assert eq_up_to(lhs, rhs, 15)[0]
 
 
 def test_param_validation() -> None:
     with pytest.raises(ParamOutOfRange):
-        build_L_riJ(1, 1, 0, 10)
+        build_L_k_ell(1, 1, 1, 10)
     with pytest.raises(ParamOutOfRange):
-        build_L_riJ(2, 3, 0, 10)
+        build_L_k_ell(1, 3, 2, 10)
     with pytest.raises(ParamOutOfRange):
         build_L_k_ell(2, 4, 3, 10)
     with pytest.raises(ParamOutOfRange):
@@ -239,7 +233,7 @@ def test_split_memo_keeps_the_longest_series_per_key() -> None:
     # alone: a smaller budget reads a prefix of the entry, and no call may
     # shorten what an earlier one kept.
     runs = [
-        (lambda n, ctx: hp_split(build_L_riJ(3, 1, 0, n), ctx=ctx), 0),
+        (lambda n, ctx: hp_split(build_L_k_ell(1, 1, 3, n), ctx=ctx), 0),
         (lambda n, ctx: hp_notation(1, 1, 3, n, ctx=ctx), 3),
     ]
     for run, r in runs:
@@ -278,7 +272,7 @@ def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(mon
         return out
 
     monkeypatch.setattr(hilbert, "_lift", checked)
-    for k, ell, r in [(1, 1, 2), (1, 2, 3), (2, 1, 3), (3, 2, 4), (4, None, 3)]:
+    for k, ell, r in [(1, 1, 2), (1, 2, 3), (2, 1, 3), (3, 2, 4), (4, 3, 3)]:
         hp_notation(k, ell, r, 30)
     rng = random.Random(7)
     for _ in range(10):
@@ -290,8 +284,8 @@ def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(mon
 @given(r=st.integers(2, 6), k=st.integers(1, 12), n=st.integers(0, 60), data=st.data())
 def test_hp_notation_equals_brute_on_the_built_family_ideal(r: int, k: int, n: int, data) -> None:
     # the implicit tail against the whole family ideal, built and walked
-    ell = data.draw(st.one_of(st.none(), st.integers(1, r)))
-    expected = hp_brute(build_L_k_ell(k, r if ell is None else ell, r, n))
+    ell = data.draw(st.integers(1, r))
+    expected = hp_brute(build_L_k_ell(k, ell, r, n))
     assert hp_notation(k, ell, r, n) == expected, (k, ell, r, n)
 
 
@@ -329,7 +323,7 @@ def test_engines_run_deeper_than_the_recursion_limit() -> None:
 
 def test_engine_equivalence_on_family_ideals() -> None:
     for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 3, 0), (3, 1, 2)]:
-        ideal = build_L_riJ(r, i, J, 22)
+        ideal = build_L_k_ell(2 * J + 1, i, r, 22)
         assert eq_up_to(hp_brute(ideal), hp_split(ideal), 22)[0]
 
 
@@ -385,7 +379,7 @@ def test_hp_split_terminates_on_dense_repeated_variables() -> None:
 def test_partition_bridge() -> None:
     # coefficient j of the boundary quotient equals the gap-side count
     for r, i, J in [(2, 2, 0), (3, 1, 1), (3, 2, 2)]:
-        hp = hp_brute(build_L_riJ(r, i, J, 18))
+        hp = hp_brute(build_L_k_ell(2 * J + 1, i, r, 18))
         for j in range(19):
             assert hp[j] == count_E(r, i, J, j)
 
@@ -395,12 +389,13 @@ def test_note_N1_through_N3() -> None:
     for r in (2, 3):
         for k in range(1, 8):
             lhs = hp_notation(k, 1, r, n)
-            rhs = hp_notation(k + 1 if k % 2 == 0 else k + 2, None, r, n)
+            rhs = hp_notation(k + 1 if k % 2 == 0 else k + 2, r, r, n)
             assert eq_up_to(lhs, rhs, n)[0], ("N1", r, k)
-            assert eq_up_to(hp_notation(k, r, r, n), hp_notation(k, None, r, n), n)[0], ("N2", r, k)
+            plain = hp_brute(MonomialIdeal.build(transcribed_family_ideal(k, None, r, n), k, n))
+            assert eq_up_to(hp_notation(k, r, r, n), plain, n)[0], ("N2", r, k)
         for i in range(1, r + 1):
             for J in (0, 1):
-                lhs = hp_brute(build_L_riJ(r, i, J, n))
+                lhs = hp_brute(build_L_k_ell(2 * J + 1, i, r, n))
                 assert eq_up_to(lhs, hp_notation(2 * J + 1, i, r, n), n)[0], ("N3", r, i, J)
 
 
@@ -408,7 +403,7 @@ def test_hp_tail_growth() -> None:
     n = 20
     for r in (2, 3):
         for d in range(4):
-            tail = hp_notation(2 * d + 3, None, r, n) - series_one(n)
+            tail = hp_notation(2 * d + 3, r, r, n) - series_one(n)
             v = valuation(tail)
             assert v is not None and v >= 2 * d + 3
 
@@ -420,6 +415,6 @@ def test_hp_notation_coefficients_are_gap_counts() -> None:
 
 
 def test_truncation_monotonicity_of_engines() -> None:
-    small = hp_split(build_L_riJ(2, 2, 0, 12))
-    large = hp_split(build_L_riJ(2, 2, 0, 24))
+    small = hp_split(build_L_k_ell(1, 2, 2, 12))
+    large = hp_split(build_L_k_ell(1, 2, 2, 24))
     assert large.coeffs[:13] == small.coeffs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -138,8 +139,8 @@ def test_colon_var_examples() -> None:
     assert set(colon_var(mixed, 2).gens) == {m(x1=1), m(x2=2)}
 
 
-def test_colon_var_is_membership_quotient() -> None:
-    # g in (I : x_k)  <=>  x_k * g in I, over all monomials of weight <= 8
+def _membership_cases() -> Iterator[tuple[MonomialIdeal, int, list[Monomial]]]:
+    """15 seeded ideals, each with a variable and every monomial of weight <= 8."""
     rng = random.Random(5)
     probes = [
         monomial_from_parts(p.parts)
@@ -148,11 +149,23 @@ def test_colon_var_is_membership_quotient() -> None:
     ]
     for _ in range(15):
         gens = [_random_monomial(rng, max_var=4) for _ in range(rng.randint(1, 5))]
-        ideal = MonomialIdeal.build(gens, 1, 20)
-        var = rng.randint(1, 4)
+        yield MonomialIdeal.build(gens, 1, 20), rng.randint(1, 4), probes
+
+
+def test_colon_var_is_membership_quotient() -> None:
+    # g in (I : x_k)  <=>  x_k * g in I
+    for ideal, var, probes in _membership_cases():
         quotient = colon_var(ideal, var)
         for g in probes:
             assert contains(quotient, g) == contains(ideal, mul_var(g, var))
+
+
+def test_add_var_is_membership_sum() -> None:
+    # g in I + (x_k)  <=>  g in I or x_k divides g
+    for ideal, var, probes in _membership_cases():
+        enlarged = add_var(ideal, var)
+        for g in probes:
+            assert contains(enlarged, g) == (contains(ideal, g) or var in dict(g.exps))
 
 
 def test_add_var_examples() -> None:

@@ -10,8 +10,8 @@ coefficient tables' identity entry and depth step, the ring start of the
 splitting engine's add branch, its leaf series, combine and pivot offset, the
 plain family's cap, and the literal level-zero oracle; each of these names
 the exact set of (check, clause) pairs it fails.  The quotient side's rows
-reach the family steps, the cap rule and the splitting engine's lift, head
-copy, tail start, pivot and add branch.  A census maps every clause of the
+reach the family steps, the cap rule, the root head and the splitting
+engine's lift, head copy, tail start, pivot and add branch.  A census maps every clause of the
 lemma run to the rows that fail it, and only the clauses in `UNREACHED`
 have none.
 Mutants of `hp_brute`'s order-ideal walk, and rows that break the implicit
@@ -59,7 +59,8 @@ QUOTIENT_SIDE_MUTANTS = [
     ("tail starts one step late", hilbert, "_split", "), p + 3", "), p + 4"),
     ("pivot ignores the tail", hilbert, "_split", "else min(p, s)", "else p"),
     ("tail dropped while step s fits", hilbert, "_split", "2 * s > budget", "2 * s >= budget"),
-    ("root tail starts at k+4", recursion, "hp_notation", "r, k + 3)", "r, k + 4)"),
+    ("root head one step short", recursion, "hp_notation",
+     "range(k, k + 3)", "range(k, k + 2)"),
     ("add branch starts one variable late", hilbert, "_split",
      "todo.append((p + 1,", "todo.append((p + 2,"),
 ]
@@ -125,8 +126,8 @@ VERIFIER_MUTANTS = [
          ("main", "quotient_vs_gap")},
     ),
     (
-        "plain family capped at r - 1", recursion, "hp_notation",
-        "ell = r if ell is None else ell", "ell = r - 1 if ell is None else ell",
+        "plain family capped at r - 1", recursion, "verify_hp_step",
+        "hp(k + 2, r))", "hp(k + 2, r - 1))",
         {("hp_step", "odd_step_degenerate")},
     ),
     (
@@ -353,7 +354,7 @@ HILBERT_TAIL_MUTANTS = [
     (HILBERT_ARGV, "tail dropped while step s fits"),
     (HILBERT_ARGV, "root tail starts at k+4"),
     (["hilbert", "--family", "Lk", "--k", "3", "--r", "3", "--N", "20"],
-     "plain family capped at r - 1"),
+     "root head one step short"),
 ]
 MUTANT_ROWS = {m[0]: m[2:5] for m in QUOTIENT_SIDE_MUTANTS + VERIFIER_MUTANTS}
 

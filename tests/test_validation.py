@@ -3,10 +3,13 @@ does every truncation below them."""
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
+from gga_verify import cli
 from gga_verify.errors import ParamOutOfRange
-from gga_verify.hilbert import build_L_k, build_L_k_ell, build_L_riJ, hp_notation
+from gga_verify.hilbert import build_L_k_ell, hp_notation
 from gga_verify.monomial import MonomialIdeal
 from gga_verify.partitions import (
     allowed_parts_C,
@@ -60,8 +63,6 @@ VALID = {
     count_E: dict(r=2, i=1, J=0, n=5),
     series_D: dict(r=2, i=1, n=5),
     series_E: dict(r=2, i=1, J=0, n=5),
-    build_L_riJ: dict(r=2, i=1, J=0, n=8),
-    build_L_k: dict(k=1, r=2, n=8),
     build_L_k_ell: dict(k=1, ell=1, r=2, n=8),
     hp_notation: dict(k=1, ell=1, r=2, n=8),
     c_series: dict(r=2, index=1, n=8),
@@ -135,9 +136,13 @@ PLAIN_FAMILY_BAD = [(1, 1, 8), (0, 2, 8), (1, 2, -1), (0, 2, -1), (0, 1, -1)]
 
 
 @pytest.mark.parametrize(("k", "r", "n"), PLAIN_FAMILY_BAD)
-def test_plain_family_is_validated_as_the_capped_family_at_ell_r(k: int, r: int, n: int) -> None:
-    with pytest.raises(ParamOutOfRange) as plain:
-        build_L_k(k, r, n)
-    with pytest.raises(ParamOutOfRange) as capped:
-        build_L_k_ell(k, r, r, n)
-    assert str(plain.value) == str(capped.value)
+def test_plain_family_is_validated_as_the_capped_family_at_ell_r(
+    k: int, r: int, n: int, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # `hilbert --family Lk` fails as `--family Lkl --ell r`, with the same line
+    flags = ["--k", str(k), "--r", str(r), "--N", str(n)]
+    plain = cli.run(["hilbert", "--family", "Lk", *flags], stdout=io.StringIO())
+    plain_err = capsys.readouterr().err
+    capped = cli.run(["hilbert", "--family", "Lkl", "--ell", str(r), *flags], stdout=io.StringIO())
+    assert (plain, plain_err) == (capped, capsys.readouterr().err)
+    assert plain == 2 and plain_err.startswith("error: ") and plain_err.count("\n") == 1
