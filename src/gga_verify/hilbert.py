@@ -13,18 +13,18 @@ a monomial ideal, truncated at degree N:
   that is not a single variable; both branches shrink the total degree of
   those generators, so it ends.  Each variable below p is killed or free,
   so the series is a lift, 1/(1 - q^v) over the free v below p, times the
-  series of the generators on x_p and up.  A sub-problem is keyed by
-  (p, those generators, r, tail start s) in `RunContext.splits`, with no
-  budget: generators above a budget are never kept, so each key keeps its
-  longest series and a smaller budget reads a prefix.  The generators on
-  x_p and up contain x_p exactly when they start at p: monomial._colon
-  changes only those, and A/(I, x_p) is the ring from x_{p+1} without them.
-  For a family ideal the steps from s on stay implicit, and the pivot is
-  at most s.  A split on x_p changes only steps p-2..p, and a generator
-  that loses its last x_p lives on x_{p+1} and x_{p+2}, so it divides only
-  generators of steps up to p+2: steps s..p+2 join the head before the
-  split, and s moves to p+3.  The lift is the series of the free variables,
-  not a partition count: a transfer matrix over part multiplicities would
+  series of the generators on x_p and up.  Those contain x_p exactly when
+  they start at p: monomial._colon reads only each one's first pair, and
+  A/(I, x_p) is the ring from x_{p+1} without them.  A sub-problem is
+  keyed by (p, those generators, r, tail start s) in `RunContext.splits`,
+  with no budget: generators above a budget are never kept, so each key
+  keeps its longest series and a smaller budget reads a prefix.  For a
+  family ideal the steps from s on stay implicit, and the pivot is at most
+  s.  A split on x_p changes only steps p-2..p, and a generator that loses
+  its last x_p lives on x_{p+1} and x_{p+2}, so it divides only generators
+  of steps up to p+2: steps s..p+2 join the head before the split, and s
+  moves to p+3.  The lift is the series of the free variables, not a
+  partition count: a transfer matrix over part multiplicities would
   compute the gap side's `series_E` again.
 
 Every command runs `_split` via hp_notation, which builds no family ideal;
@@ -42,6 +42,7 @@ gives the boundary ideals, and ell = r the plain family.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .context import RunContext
 from .errors import check_params
@@ -118,21 +119,19 @@ def _split(
     j >= tail (see the module docstring)."""
     # A task (ring, head, tail, budget, None) solves a sub-problem; one ending in a
     # key combines the two solved branches of its split on key[0] and lifts the sum.
-    # `solved` holds the series of finished sub-problems, the latest last.
+    # `solved` holds the finished sub-problems' series as lists, the latest last.
     todo = [(min_var, head, tail, n, None)]
-    solved: list[tuple[int, ...]] = []
+    solved: list[list[int]] = []
     while todo:
         m, gens, s, budget, combine = todo.pop()
         if combine is not None:
-            low = solved.pop()
-            out = list(solved.pop())
-            for j, c in enumerate(low):
-                out[j + combine[0]] += c
+            low, out = solved.pop(), solved.pop()
+            out[combine[0]:] = map(add, out[combine[0]:], low)
             splits[combine] = tuple(out)
             solved.append(_lift(out, m, combine[0], gens))
             continue
         if gens and not gens[0].weight:
-            solved.append((0,) * (budget + 1))
+            solved.append([0] * (budget + 1))
             continue
         if s is not None and 2 * s > budget:
             s = None  # every step from s on weighs more than the budget
@@ -162,7 +161,7 @@ def _split(
     return TruncatedSeries(tuple(solved.pop()))
 
 
-def _lift(series: list[int], m: int, p: int, gens: tuple) -> tuple[int, ...]:
+def _lift(series: list[int], m: int, p: int, gens: tuple) -> list[int]:
     """`series` times 1/(1 - q^v), in place, for each v in [m, p) that starts no
     generator: below the pivot p every generator is a killed single variable."""
     starts = {g.exps[0][0] for g in gens}
@@ -170,7 +169,7 @@ def _lift(series: list[int], m: int, p: int, gens: tuple) -> tuple[int, ...]:
         if v not in starts:
             for j in range(v, len(series)):
                 series[j] += series[j - v]
-    return tuple(series)
+    return series
 
 
 # No caller in src/; kept while bench/tracer.py reads its cache_info() (ROADMAP item 1).

@@ -8,9 +8,9 @@ weight above the truncation discarded since they cannot divide any monomial
 that is still counted.
 
 A monomial is the named tuple (weight, exps) with its weight stored, so the
-builders, `minimalize`, the colon kernel and the splitting memo of
-`hilbert._split` all run on one type, in plain tuple order; an ideal is the
-named tuple (gens, min_var, trunc), made canonical by `MonomialIdeal.build`.
+builders, `minimalize`, the split's colon kernel `_colon` and its memo all
+run on one type, in plain tuple order; an ideal is the named tuple (gens,
+min_var, trunc), made canonical by `MonomialIdeal.build`.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ class Monomial(NamedTuple):
         return "*".join(
             f"x{var}^{exp}" if exp > 1 else f"x{var}" for var, exp in self.exps
         )
-
-
-def _exponent(exps: Exps, var: int) -> int:
-    for v, e in exps:
-        if v == var:
-            return e
-        if v > var:
-            break
-    return 0
 
 
 def _divides(small: Exps, big: Exps) -> bool:
@@ -105,32 +96,32 @@ class MonomialIdeal(NamedTuple):
 
 
 def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:
-    """(I : x_var) on sorted generators, keeping those of weight <= trunc.
+    """(I : x_var) on sorted generators that all start at x_var or above (as
+    `hilbert._split` passes them: those on its pivot and up, and tail steps
+    from s >= pivot), keeping those of weight <= trunc.
 
-    Each generator divisible by x_var loses one power of it; the rest stay.
-    The changed generators stay pairwise incomparable, since g/x_var | h/x_var
-    would give g | h.  No unchanged generator divides a changed one, since
-    u | g/x_var would give u | g.  So minimality can fail only where a
-    changed generator divides an unchanged one, which lacks x_var: only a
-    changed generator that lost its last x_var can, and the unchanged ones
-    it divides go.  Generators that weigh more than trunc are dropped first.
-    That decides nothing about the others, since a divisor weighs no more
-    than what it divides.
+    A generator contains x_var exactly when its first pair is (var, e), which
+    becomes (var, e - 1), or goes at e = 1; the rest stay.  Changed ones stay
+    pairwise incomparable (g/x_var | h/x_var gives g | h), and no unchanged
+    one divides a changed one (u | g/x_var gives u | g), so only a changed
+    generator that lost its last x_var can divide an unchanged one, which
+    goes.  Dropping those heavier than trunc first decides nothing about the
+    others, since a divisor weighs no more than what it divides.
     """
     changed: list[Monomial] = []
     lost: list[Exps] = []
     rest: list[Monomial] = []
     for g in gens:
         w, exps = g
-        power = _exponent(exps, var)
-        if power:
-            if w - var <= trunc:
-                cut = tuple((v, e - (v == var)) for v, e in exps if v != var or e > 1)
-                changed.append(Monomial(w - var, cut))
-                if power == 1:
-                    lost.append(cut)
-        elif w <= trunc:
-            rest.append(g)
+        if exps[0][0] != var:
+            if w <= trunc:
+                rest.append(g)
+        elif w - var <= trunc:
+            e = exps[0][1]
+            cut = ((var, e - 1),) + exps[1:] if e > 1 else exps[1:]
+            changed.append(Monomial(w - var, cut))
+            if e == 1:
+                lost.append(cut)
     if lost:
         rest = [g for g in rest if not any(_divides(c, g.exps) for c in lost)]
     return tuple(sorted(changed + rest)) if changed else tuple(rest)
@@ -138,10 +129,15 @@ def _colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, 
 
 # No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """The colon ideal (I : x_var), kept canonical without re-minimalizing (see _colon)."""
+    """The colon ideal (I : x_var) as written: x_var struck once from each generator
+    it divides, made canonical by `MonomialIdeal.build`."""
     if var < ideal.min_var:
         raise ValueError(f"x_{var} below ambient ring x_{ideal.min_var}")
-    return MonomialIdeal(_colon(ideal.gens, var, ideal.trunc), ideal.min_var, ideal.trunc)
+    struck = (
+        Monomial(w - var, tuple((v, e - (v == var)) for v, e in exps if v != var or e > 1))
+        if var in dict(exps) else Monomial(w, exps) for w, exps in ideal.gens
+    )
+    return MonomialIdeal.build(struck, ideal.min_var, ideal.trunc)
 
 
 # No caller in src/; kept while bench/tracer.py binds it (ROADMAP item 1).

@@ -29,13 +29,6 @@ from oracles import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_build_L_riJ_matches_independent_transcription() -> None:
-    for r, i, J, n in [(2, 2, 0, 8), (2, 1, 0, 12), (3, 2, 1, 16), (4, 4, 0, 14)]:
-        ideal = build_L_k_ell(2 * J + 1, i, r, n)
-        assert set(ideal.gens) == transcribed_boundary_ideal(r, i, J, n)
-        assert ideal.min_var == 2 * J + 1
-
-
 def test_every_builder_matches_the_literal_transcription() -> None:
     # one builder makes every family, so notes N2 (L(k, r) = L_k) and
     # N3 (L(2J+1, i) = L(r, i, J)) are checked against definitions written
@@ -48,10 +41,20 @@ def test_every_builder_matches_the_literal_transcription() -> None:
                 for ell in range(1, r + 1):
                     expected = transcribed_family_ideal(k, ell, r, n)
                     assert set(build_L_k_ell(k, ell, r, n).gens) == expected, (k, ell, r, n)
-            for i in range(1, r + 1):
-                for J in range(5):  # keeps 2J+1 <= 9
-                    expected = transcribed_boundary_ideal(r, i, J, n)
-                    assert set(build_L_k_ell(2 * J + 1, i, r, n).gens) == expected, (r, i, J, n)
+    boundary = [
+        (r, i, J, n)
+        for r in range(2, 6)
+        for n in (0, 1, 7, 25)
+        for i in range(1, r + 1)
+        for J in range(5)  # keeps 2J+1 <= 9
+    ]
+    # and truncations between the grid's, up to 2J+1 = 5
+    boundary += [(2, 2, 0, 8), (2, 1, 0, 12), (3, 2, 1, 16), (4, 4, 0, 14)]
+    boundary += [(2, 1, 0, 14), (2, 2, 0, 14), (3, 2, 1, 18), (4, 3, 2, 20)]
+    for r, i, J, n in boundary:
+        ideal = build_L_k_ell(2 * J + 1, i, r, n)
+        assert set(ideal.gens) == transcribed_boundary_ideal(r, i, J, n), (r, i, J, n)
+        assert ideal.min_var == 2 * J + 1
 
 
 def test_build_L_riJ_golden_r2_i2_J0() -> None:
@@ -106,12 +109,6 @@ def test_build_L_k_relates_to_boundary_ideal() -> None:
     ]
     combined = minimalize(boundary + list(family.gens))
     assert set(combined) == transcribed_boundary_ideal(r, i, J, n)
-
-
-def test_build_L_k_ell_equals_boundary_ideal() -> None:
-    for r, i, J, n in [(2, 1, 0, 14), (2, 2, 0, 14), (3, 2, 1, 18), (4, 3, 2, 20)]:
-        via_ell = build_L_k_ell(2 * J + 1, i, r, n)
-        assert set(via_ell.gens) == transcribed_boundary_ideal(r, i, J, n)
 
 
 def test_build_L_k_ell_even_degenerate_ell_one() -> None:
@@ -267,7 +264,7 @@ def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(mon
         free = [v for v in range(m, min(p, len(series))) if v not in used]
         expected = TruncatedSeries(tuple(series)) * product_geometric_inverses(free, len(series) - 1)
         out = lift(series, m, p, gens)
-        assert out == expected.coeffs, (m, p, gens)
+        assert tuple(out) == expected.coeffs, (m, p, gens)
         seen.append(bool(free))
         return out
 
@@ -278,6 +275,27 @@ def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(mon
     for _ in range(10):
         hp_split(_random_ideal(rng, 20))
     assert any(seen) and not all(seen)
+
+
+def test_every_colon_gets_generators_on_its_pivot_and_up(monkeypatch) -> None:
+    # The colon kernel's contract: `_split` hands it only the generators that
+    # start at the pivot x_var or above, and some of them start above it.
+    colon = hilbert._colon
+    above = []
+
+    def checked(gens, var, trunc):
+        starts = [g.exps[0][0] for g in gens]
+        assert all(v >= var for v in starts), (var, gens)
+        above.append(any(v > var for v in starts))
+        return colon(gens, var, trunc)
+
+    monkeypatch.setattr(hilbert, "_colon", checked)
+    for k, ell, r in [(1, 1, 2), (1, 2, 3), (2, 1, 3), (3, 2, 4), (4, 3, 3)]:
+        hp_notation(k, ell, r, 30)
+    rng = random.Random(7)
+    for _ in range(10):
+        hp_split(_random_ideal(rng, 20))
+    assert any(above)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

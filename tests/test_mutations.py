@@ -11,9 +11,9 @@ splitting engine's add branch, its leaf series, combine and pivot offset, the
 plain family's cap, and the literal level-zero oracle; each of these names
 the exact set of (check, clause) pairs it fails.  The quotient side's rows
 reach the family steps, the cap rule, the root head and the splitting
-engine's lift, head copy, tail start, pivot and add branch.  A census maps every clause of the
-lemma run to the rows that fail it, and only the clauses in `UNREACHED`
-have none.
+engine's lift, head copy, tail start, pivot, add branch and colon kernel.
+A census maps every clause of the lemma run to the rows that fail it, and
+only the clauses in `UNREACHED` have none.
 Mutants of `hp_brute`'s order-ideal walk, and rows that break the implicit
 family tail of `hp_notation`, make the two engines of `hilbert` disagree,
 and the CLI exits 1.  A mutant that breaks the product-side
@@ -63,6 +63,8 @@ QUOTIENT_SIDE_MUTANTS = [
      "range(k, k + 3)", "range(k, k + 2)"),
     ("add branch starts one variable late", hilbert, "_split",
      "todo.append((p + 1,", "todo.append((p + 2,"),
+    ("colon keeps the pivot's power", hilbert, "_colon", "((var, e - 1),)", "((var, e),)"),
+    ("colon budget on the undivided weight", hilbert, "_colon", "w - var <= trunc", "w <= trunc"),
 ]
 
 # (name, module the function is patched on, function, token in its source, its replacement,
@@ -102,8 +104,7 @@ VERIFIER_MUTANTS = [
         {("limits", "hp_tail_is_one"), ("main", "quotient_vs_gap")},
     ),
     (
-        "combine shifts by p - 1", hilbert, "_split",
-        "out[j + combine[0]] += c", "out[j + combine[0] - 1] += c",
+        "combine shifts by p + 1", hilbert, "_split", "low)", "[0, *low])",
         {("hp_expansion", "expansion"), ("hp_step", "full_step"),
          ("limits", "n_stabilizes_to_quotient"), ("main", "quotient_vs_gap")},
     ),
