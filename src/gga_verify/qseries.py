@@ -3,10 +3,10 @@
 Coefficients are signed arbitrary-precision integers; no rounding occurs
 anywhere.  A series certifies its coefficients for degrees 0..trunc
 (inclusive) and says nothing beyond.  Arithmetic on two series is certified
-through the smaller of the two ranges.  Exact division by q^w shrinks the
-certified range by w rather than padding with unspecified values, and its
-inverse, exact multiplication by q^w, grows it by w; `shift` multiplies by
-q^w at a fixed truncation instead, dropping the top w coefficients.
+through the smaller of the two ranges.  No operation grows a certified
+range: `shift` multiplies by q^w at a fixed truncation, dropping the top w
+coefficients, and exact division by q^w shrinks the range by w rather than
+padding with unspecified values.
 """
 
 from __future__ import annotations
@@ -95,16 +95,6 @@ class TruncatedSeries:
         if w > n:
             return TruncatedSeries((0,) * (n + 1))
         return TruncatedSeries((0,) * w + self.coeffs[: n + 1 - w])
-
-    def mul_q_pow(self, w: int) -> TruncatedSeries:
-        """Exact multiplication by q^w; the certified range grows by w.
-
-        The inverse of div_q_pow: every known coefficient moves up by w and
-        none is dropped, so q^w * s is certified through trunc + w.
-        """
-        if w < 0:
-            raise ValueError(f"negative power {w}")
-        return TruncatedSeries((0,) * w + self.coeffs)
 
     def div_q_pow(self, w: int) -> TruncatedSeries:
         """Exact division by q^w; the certified range shrinks by w.

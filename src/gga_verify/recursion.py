@@ -8,12 +8,11 @@ at the end (see c_series).  Writing an index as (r-1)*g + i with g >= 1 and
 2 <= i <= r, level g is built from level g-1 by
 
     C[g, 1] = C[g-1, r]            (the two spellings of one index agree)
-    C[g, i] = (C[g-1, r-i+1] - C[g-1, r-i+2] - q^(2g(i-1)-1) * C[g, i-1])
-              / q^(2g(i-1))
+    C[g, i] = (C[g-1, r-i+1] - C[g-1, r-i+2]) / q^w - C[g, i-1] / q
 
-The two displayed fractions of the recursion are combined over the common
-denominator before dividing: the chained term alone has a 1/q pole (its
-constant coefficient is 1), so only the combination is a power series.
+with w = 2g(i-1).  The chained term alone has a 1/q pole, so the shared 1/q
+is taken last: the difference is q^(w-1) * (C[g, i-1] + q * C[g, i]), so it
+divides exactly by q^(w-1), and the quotient minus C[g, i-1] exactly by q.
 
 Both the product side and the quotient side satisfy the same expansion
 recurrence with coefficient tables M (product) and N (quotient); the tables
@@ -80,12 +79,12 @@ def _recursion_padding(r: int, g_stop: int, i_stop: int) -> int:
     """Certified-range loss of the level cascade up to entry i_stop of level g_stop.
 
     Runs _cascade on certified ranges alone, counted from the bases'
-    truncation: a difference keeps the smaller range of its operands,
-    q^(w-1) times the chained entry gains w-1 degrees, and the exact
-    division by q^w loses w.  The loss grows as about r*g(g+1)/2.  It is
-    exact: with one degree less the final truncation raises.
+    truncation: a difference keeps the smaller range of its operands, its
+    exact division by q^(w-1) loses w-1 degrees, and the division by q after
+    the chained entry is subtracted loses one more.  The loss grows as about
+    r*g(g+1)/2.  It is exact: with one degree less the final truncation raises.
     """
-    return -_cascade([0] * r, r, g_stop, i_stop, lambda a, b, c, w: min(a, b, c + w - 1) - w)
+    return -_cascade([0] * r, r, g_stop, i_stop, lambda a, b, c, w: min(min(a, b) - w + 1, c) - 1)
 
 
 def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> TruncatedSeries:
@@ -97,14 +96,14 @@ def c_series(r: int, index: int, n: int, *, ctx: RunContext | None = None) -> Tr
                 = 1 / (q, q^3, q^4; q^4)_inf = 1 / theta(1, 4),
         theta_a = (q^a, q^(4r-a), q^(4r); q^(4r))_inf,
     each theta series sparse by Jacobi's triple product (Andrews, The Theory
-    of Partitions, ch. 2).  Differences and exact multiplication and division
-    by q^w commute with multiplying by the unit D, so every index runs the
-    level cascade (_cascade) on the theta numerators, each placed term by
-    term, index j <= r being entry j of level 0, at a working truncation
-    padded by its exact loss (see _recursion_padding, the same cascade on
-    certified ranges); the last level stops at the entry asked for, and
-    one sparse division by theta(1, 4) through degree n applies D.  The
-    result is kept in `ctx` under (r, index, n).
+    of Partitions, ch. 2).  Differences and exact division by q^w commute
+    with D, so every index runs the level cascade (_cascade) on the theta
+    numerators, each placed term by term, index j <= r being entry j of
+    level 0, at a working truncation padded by its exact loss (see
+    _recursion_padding, the same cascade on certified ranges); the last
+    level stops at the entry asked for, and one sparse division by
+    theta(1, 4) through degree n applies D.  The result is kept in `ctx`
+    under (r, index, n).
     """
     check_params(r=r, index=index, n=n)
     products = (RunContext() if ctx is None else ctx).products
@@ -122,7 +121,7 @@ def _product_series(r: int, index: int, n: int) -> TruncatedSeries:
         for j in range(1, r + 1)
     ]
     top = _cascade(
-        thetas, r, g_stop, i_stop, lambda a, b, c, w: (a - b - c.mul_q_pow(w - 1)).div_q_pow(w)
+        thetas, r, g_stop, i_stop, lambda a, b, c, w: ((a - b).div_q_pow(w - 1) - c).div_q_pow(1)
     )
     return div_sparse(top.truncated(n), triple_product_terms(1, 4, n))
 

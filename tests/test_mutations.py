@@ -7,11 +7,11 @@ and a witness at a low degree, and the CLI must exit 1 (an identity
 mismatched), never 3 or 4.  Besides the three sides, rows reach the final
 division by theta(1, 4) that applies D to every product series, the
 coefficient tables' identity entry and depth step, the ring start of the
-splitting engine's add branch, its leaf series, combine and pivot offset, the
-plain family's cap, and the literal level-zero oracle; each of these names
-the exact set of (check, clause) pairs it fails.  The quotient side's rows
-reach the family steps, the cap rule, the root head and the splitting
-engine's lift, head copy, tail start, pivot, add branch and colon kernel.
+splitting engine's add branch, its leaf series, combine, pivot offset and
+colon kernel, the plain family's cap, and the literal level-zero oracle; each
+of these names the exact set of (check, clause) pairs it fails.  The quotient
+side's rows reach the family steps, the cap rule, the root head and the
+splitting engine's lift, head copy, tail start, pivot and add branch.
 A census maps every clause of the lemma run to the rows that fail it, and
 only the clauses in `UNREACHED` have none.
 Mutants of `hp_brute`'s order-ideal walk, and rows that break the implicit
@@ -63,8 +63,6 @@ QUOTIENT_SIDE_MUTANTS = [
      "range(k, k + 3)", "range(k, k + 2)"),
     ("add branch starts one variable late", hilbert, "_split",
      "todo.append((p + 1,", "todo.append((p + 2,"),
-    ("colon keeps the pivot's power", hilbert, "_colon", "((var, e - 1),)", "((var, e),)"),
-    ("colon budget on the undivided weight", hilbert, "_colon", "w - var <= trunc", "w <= trunc"),
 ]
 
 # (name, module the function is patched on, function, token in its source, its replacement,
@@ -102,6 +100,17 @@ VERIFIER_MUTANTS = [
         "leaf series all ones", hilbert, "_split",
         "_lift([1] + [0] * budget,", "_lift([1] * (budget + 1),",
         {("limits", "hp_tail_is_one"), ("main", "quotient_vs_gap")},
+    ),
+    (
+        "colon keeps the pivot's power", hilbert, "_colon", "((var, e - 1),)", "((var, e),)",
+        {("main", "quotient_vs_gap"), ("hp_step", "full_step"), ("hp_expansion", "expansion"),
+         ("limits", "n_stabilizes_to_quotient")},
+    ),
+    (
+        "colon budget on the undivided weight", hilbert, "_colon", "w - var <= trunc",
+        "w <= trunc",
+        {("main", "quotient_vs_gap"), ("hp_step", "full_step"), ("hp_expansion", "expansion"),
+         ("limits", "n_stabilizes_to_quotient")},
     ),
     (
         "combine shifts by p + 1", hilbert, "_split", "low)", "[0, *low])",
@@ -294,7 +303,9 @@ def test_every_clause_but_the_unreached_has_a_mutant(monkeypatch) -> None:
 # (name, function in recursion, token in its source, its replacement): each
 # breaks an exact division of the product-side cascade
 CASCADE_MUTANTS = [
-    ("chained power one high", "_product_series", "mul_q_pow(w - 1)", "mul_q_pow(w)"),
+    ("difference divided one power too far", "_product_series",
+     "div_q_pow(w - 1)", "div_q_pow(w)"),
+    ("chained term divided by q twice", "_product_series", ".div_q_pow(1)", ".div_q_pow(2)"),
     ("second operand one entry up", "_cascade", "row[r - i + 1]", "row[r - i + 2 - (i == 2)]"),
     ("level start one entry down", "_cascade", "new = [row[r - 1]]", "new = [row[r - 2]]"),
 ]
