@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gga_verify import cli, hilbert
 from gga_verify.context import RunContext
-from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import build_L_k_ell, hp_brute, hp_notation, hp_split
 from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, minimalize
 from gga_verify.partitions import count_E, series_E
@@ -119,17 +118,6 @@ def test_build_L_k_ell_even_degenerate_ell_one() -> None:
     lhs = hp_split(ideal)
     rhs = hp_notation(3, 3, 3, 15)
     assert eq_up_to(lhs, rhs, 15)[0]
-
-
-def test_param_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        build_L_k_ell(1, 1, 1, 10)
-    with pytest.raises(ParamOutOfRange):
-        build_L_k_ell(1, 3, 2, 10)
-    with pytest.raises(ParamOutOfRange):
-        build_L_k_ell(2, 4, 3, 10)
-    with pytest.raises(ParamOutOfRange):
-        hp_notation(3, 5, 2, 10)
 
 
 def test_hp_brute_free_quotient_counts_partitions() -> None:

@@ -107,15 +107,6 @@ def test_count_D_survivors_listed() -> None:
     assert survivors == [(5,), (4, 1)]
 
 
-def test_count_D_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        count_D(1, 1, 5)
-    with pytest.raises(ParamOutOfRange):
-        count_D(2, 3, 5)
-    with pytest.raises(ParamOutOfRange):
-        count_D(2, 1, -1)
-
-
 def test_count_E_examples() -> None:
     assert count_E(2, 2, 1, 7) == 1  # only (7); (4,3) fails the even-gap condition
     assert count_E(2, 2, 1, 2) == 0  # no parts <= 2J allowed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gga_verify import partitions, recursion
 from gga_verify.context import RunContext
-from gga_verify.errors import ParamOutOfRange, TruncationTooShort
+from gga_verify.errors import TruncationTooShort
 from gga_verify.partitions import allowed_parts_C, series_E
 from gga_verify.qseries import (
     eq_up_to,
@@ -141,15 +141,6 @@ def test_c_series_equals_padded_cascade_property(data, r: int, n: int) -> None:
     assert c_series(r, index, n) == padded_cascade(r, index, n)
 
 
-def test_c_series_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        c_series(1, 1, 5)
-    with pytest.raises(ParamOutOfRange):
-        c_series(2, 0, 5)
-    with pytest.raises(ParamOutOfRange):
-        c_series(2, 1, -1)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -232,15 +223,6 @@ def test_coeff_table_valuation_law() -> None:
                 assert v is None or v >= 2 * d * (j - 1), (kind, r, J, anchor, j, d, v)
 
 
-def test_coeff_table_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        coeff_table("X", 2, 0, 1, 1, 10)
-    with pytest.raises(ParamOutOfRange):
-        coeff_table("N", 2, 0, 3, 1, 10)
-    with pytest.raises(ParamOutOfRange):
-        coeff_table("N", 2, 1, 1, 1, 10)  # d_max below initial depth
-
-
 def test_mn_tables_equal() -> None:
     for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 2, 0)]:
         report = verify_mn_tables(r, i, J, J + 3, 30)
@@ -280,13 +262,6 @@ def test_verify_hp_step_passes() -> None:
 def test_verify_hp_step_ell_one_degenerates() -> None:
     report = verify_hp_step(3, 3, 1, 0, 16)
     assert report.passed
-
-
-def test_verify_hp_step_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        verify_hp_step(2, 2, 1, 0, 10)  # even k
-    with pytest.raises(ParamOutOfRange):
-        verify_hp_step(2, 1, 1, 1, 10)  # k below 2J+1
 
 
 def test_verify_hp_expansion_base_and_deeper() -> None:
@@ -334,11 +309,6 @@ def test_verify_main_passes() -> None:
     assert report.params["ell"] == 1
     assert verify_main(2, 1, 0, 25).passed
     assert verify_main(3, 2, 1, 20).passed
-
-
-def test_verify_main_validation() -> None:
-    with pytest.raises(ParamOutOfRange):
-        verify_main(1, 1, 0, 10)
 
 
 def test_report_json_schema() -> None:

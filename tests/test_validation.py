@@ -82,9 +82,11 @@ CASES = [
     for name in kwargs
     for value in BAD[name]
 ]
-# k must also be odd (verify_hp_step), and allowed_parts_C caps its index at r.
+# k must also be odd and at least 2J + 1 (verify_hp_step), and allowed_parts_C
+# caps its index at r.
 CASES += [
     pytest.param(verify_hp_step, "k", 2, VALID[verify_hp_step], id="verify_hp_step-k=2"),
+    pytest.param(verify_hp_step, "k", 1, {**VALID[verify_hp_step], "J": 1}, id="verify_hp_step-k=1-J=1"),
     pytest.param(allowed_parts_C, "index", 3, VALID[allowed_parts_C], id="allowed_parts_C-index=3"),
 ]
 
