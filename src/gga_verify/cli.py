@@ -48,15 +48,18 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse 'A' or 'A..B' into an inclusive integer range."""
-    if ".." in text:
+def _parse_range(flag: str, text: str) -> list[int]:
+    """Parse the value 'A' or 'A..B' of --flag into an inclusive integer range."""
+    try:
+        if ".." not in text:
+            return [int(text)]
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    except ValueError:
+        raise ValueError(f"--{flag} {text} is not an integer or a range A..B") from None
+    if hi < lo:
+        raise ValueError(f"--{flag} {text} is an empty range")
+    return list(range(lo, hi + 1))
 
 
 # Per subcommand, per kind or family: the optional flags it reads, each of
@@ -199,9 +202,9 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[tuple[dict, bool]]:
     from . import recursion
     from .context import RunContext
 
-    r_values = _parse_range(args.r)
-    i_values = None if args.i == "all" else _parse_range(args.i)
-    j_values = _parse_range(args.J)
+    r_values = _parse_range("r", args.r)
+    i_values = None if args.i == "all" else _parse_range("i", args.i)
+    j_values = _parse_range("J", args.J)
     n = args.N
     cells = [
         (r, i, J)

@@ -1,10 +1,11 @@
 """The caches that the cells of one verification run share.
 
 `cli._cmd_verify` makes one `RunContext` per run and passes it to every
-verifier.  A verifier called without a context makes one for that call, so
-no result depends on call history and no cache outlives the run that filled
-it.  The context is a plain class holding three dicts: the product series,
-the level-zero walks and the quotient side's splitting memo.
+verifier that builds a series: all but `verify_mn_tables`, which reads only
+coefficient tables.  A verifier called without a context makes one for that
+call, so no result depends on call history and no cache outlives the run
+that filled it.  The context is a plain class holding three dicts: the
+product series, the level-zero walks and the quotient side's splitting memo.
 """
 
 from __future__ import annotations

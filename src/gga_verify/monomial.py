@@ -203,8 +203,7 @@ def _standard_counts(ideal: MonomialIdeal, n: int) -> list[int]:
 def standard_count(ideal: MonomialIdeal, weight: int) -> int:
     """Dimension of the degree-`weight` piece of the quotient: the number of
     weight-`weight` monomials in variables >= min_var that no generator divides."""
-    if weight < 0:
-        raise ValueError(f"negative degree {weight}")
+    check_params(degree=weight)
     if weight > ideal.trunc:
         raise TruncationTooShort(f"degree {weight} beyond ideal truncation {ideal.trunc}")
     return _standard_counts(ideal, weight)[weight]

@@ -25,8 +25,9 @@ The cells of one run share work through a `RunContext`: `c_series` keeps
 each product-side series under (r, index, n), so the expansion terms and the
 limit tail that several cells name are built once, `series_D` keeps one
 level-zero walk per r, and `hp_notation` keeps the quotient side's solved
-sub-problems.  Every verifier takes the context as `ctx`; one called
-without it makes a fresh context for that call.
+sub-problems.  Every verifier that builds a series takes the context as
+`ctx`, and one called without it makes a fresh context for that call;
+`verify_mn_tables` takes none, since it reads only coefficient tables.
 """
 
 from __future__ import annotations

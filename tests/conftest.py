@@ -11,26 +11,17 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
-class AcceptanceLog:
-    """Collects one PASS/FAIL line per acceptance criterion for the summary."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def record(self, line: str) -> None:
-        self.lines.append(line)
-
-
-_LOG = AcceptanceLog()
+# One PASS/FAIL line per acceptance criterion, for the summary.
+_LOG: list[str] = []
 
 
 @pytest.fixture(scope="session")
-def acceptance_log() -> AcceptanceLog:
+def acceptance_log() -> list[str]:
     return _LOG
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus: int, config) -> None:
-    if _LOG.lines:
+    if _LOG:
         terminalreporter.section("acceptance criteria")
-        for line in _LOG.lines:
+        for line in _LOG:
             terminalreporter.write_line(line)

@@ -10,17 +10,22 @@ Andrews' frequency form for the gap side; a filter over every partition of
 each weight instead of the package's walk over the standard monomials only;
 the classical pentagonal-number recurrence instead of product expansion; the
 product cascade with fixed-truncation shifts on pentagonal bases instead of
-the package's exact q-power multiplication on one theta series; and literal
-restatements of generator families.  Agreement between these and the
-package is evidence, not circularity.
+the package's cascade on placed theta numerators, which divides exactly as
+it goes; and literal restatements of generator families.  Agreement between
+these and the package is evidence, not circularity.  The seeded random
+ideals and the in-process CLI runner that several test files share live here
+too.
 """
 
 from __future__ import annotations
 
+import io
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from gga_verify import cli
 from gga_verify.monomial import Monomial, MonomialIdeal
 from gga_verify.qseries import (
     TruncatedSeries,
@@ -239,12 +244,17 @@ def mul_var(m: Monomial, var: int) -> Monomial:
     return make_monomial(exps | {var: exps.get(var, 0) + 1})
 
 
-def div_var(m: Monomial, var: int) -> Monomial:
-    """m / x_var, for an m that x_var divides."""
-    e = dict(m.exps).get(var, 0)
-    if e < 1:
-        raise ValueError(f"{m} is not divisible by x_{var}")
-    return make_monomial(dict(m.exps) | {var: e - 1})
+def random_ideal(rng: random.Random, trunc: int) -> MonomialIdeal:
+    """An ideal on x_1..x_8 of one to six generators, each variable present
+    with probability 0.3 and exponent 1..3, drawn from `rng`."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        exps = {}
+        for var in range(1, 9):
+            if rng.random() < 0.3:
+                exps[var] = rng.randint(1, 3)
+        gens.append(make_monomial(exps))
+    return MonomialIdeal.build(gens, 1, trunc)
 
 
 def divides(small: Monomial, big: Monomial) -> bool:
@@ -412,3 +422,10 @@ def padded_cascade(r: int, index: int, n: int) -> TruncatedSeries:
         return padded_level(r, 0, n)[index - 1]
     i_stop = (index - 2) % (r - 1) + 2
     return padded_level(r, (index - i_stop) // (r - 1), n)[i_stop - 1]
+
+
+def run_cli(*argv: str) -> tuple[int, str]:
+    """`gga-verify argv` in process: its exit code and what it wrote to stdout."""
+    buffer = io.StringIO()
+    code = cli.run(list(argv), stdout=buffer)
+    return code, buffer.getvalue()

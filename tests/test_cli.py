@@ -9,17 +9,12 @@ import sys
 
 import pytest
 
-import gga_verify
 from gga_verify import cli, hilbert, partitions, recursion
 from gga_verify.errors import NonDivisible
 from gga_verify.qseries import TruncatedSeries
 from gga_verify.recursion import CheckReport
 
-
-def run_cli(*argv: str) -> tuple[int, str]:
-    buffer = io.StringIO()
-    code = cli.run(list(argv), stdout=buffer)
-    return code, buffer.getvalue()
+from oracles import run_cli
 
 
 def test_series_c_documented_output() -> None:
@@ -175,6 +170,23 @@ def test_negative_N_is_named_by_its_flag(argv: list[str], capsys: pytest.Capture
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: N = -1 violates N >= 0\n"
+
+
+# Each malformed verify range, and the one error line that names its flag.
+BAD_RANGE = [
+    ("--r 2..", "--r 2.. is not an integer or a range A..B"),
+    ("--i x", "--i x is not an integer or a range A..B"),
+    ("--J 0..y", "--J 0..y is not an integer or a range A..B"),
+    ("--r 4..2", "--r 4..2 is an empty range"),
+]
+
+
+@pytest.mark.parametrize(("flags", "message"), BAD_RANGE, ids=[flags for flags, _ in BAD_RANGE])
+def test_malformed_range_is_named_by_its_flag(
+    flags: str, message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert run_cli("verify", *flags.split(), "--N", "5") == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_matrix_streams_reports() -> None:
@@ -384,8 +396,6 @@ def test_exit_four_when_the_reader_closes_the_pipe(unbuffered: bool) -> None:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    src = os.path.dirname(os.path.dirname(gga_verify.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "gga_verify.cli", *PIPE_ARGV],
         stdout=subprocess.PIPE,

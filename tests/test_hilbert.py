@@ -20,6 +20,7 @@ from gga_verify.qseries import TruncatedSeries, eq_up_to, product_geometric_inve
 from oracles import (
     classical_partition_count,
     make_monomial,
+    random_ideal,
     transcribed_boundary_ideal,
     transcribed_family_ideal,
     valuation,
@@ -150,25 +151,6 @@ def test_hp_split_single_square_against_brute() -> None:
     assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
-def _random_ideal(rng: random.Random, trunc: int) -> MonomialIdeal:
-    gens = []
-    for _ in range(rng.randint(1, 6)):
-        exps = {}
-        for var in range(1, 9):
-            if rng.random() < 0.3:
-                exps[var] = rng.randint(1, 3)
-        gens.append(make_monomial(exps))
-    return MonomialIdeal.build(gens, 1, trunc)
-
-
-def test_engine_equivalence_on_random_ideals() -> None:
-    rng = random.Random(2025)
-    for _ in range(20):
-        ideal = _random_ideal(rng, 25)
-        ok, mismatch = eq_up_to(hp_brute(ideal), hp_split(ideal), 25)
-        assert ok, (str(ideal), mismatch)
-
-
 @st.composite
 def ideals(draw) -> MonomialIdeal:
     """An ideal of non-unit generators on six variables from min_var up."""
@@ -261,7 +243,7 @@ def test_every_lift_multiplies_in_exactly_the_free_variables_below_the_pivot(mon
         hp_notation(k, ell, r, 30)
     rng = random.Random(7)
     for _ in range(10):
-        hp_split(_random_ideal(rng, 20))
+        hp_split(random_ideal(rng, 20))
     assert any(seen) and not all(seen)
 
 
@@ -282,7 +264,7 @@ def test_every_colon_gets_generators_on_its_pivot_and_up(monkeypatch) -> None:
         hp_notation(k, ell, r, 30)
     rng = random.Random(7)
     for _ in range(10):
-        hp_split(_random_ideal(rng, 20))
+        hp_split(random_ideal(rng, 20))
     assert any(above)
 
 
@@ -337,7 +319,7 @@ def test_splitting_step_locally_checkable() -> None:
     # HP(I) = q^k HP(I : x_k) + HP(I + x_k) holds for the brute engine alone
     rng = random.Random(99)
     for _ in range(10):
-        ideal = _random_ideal(rng, 18)
+        ideal = random_ideal(rng, 18)
         if ideal.is_unit or not ideal.gens:
             continue
         pivot = min(v for g in ideal.gens for v, _ in g.exps)

@@ -22,7 +22,6 @@ from gga_verify.monomial import (
 from oracles import (
     classical_partition_count,
     contains,
-    div_var,
     divides,
     enumerate_partitions,
     make_monomial,
@@ -247,19 +246,14 @@ def test_walk_counts_match_the_filter_oracle(ideal: MonomialIdeal) -> None:
         assert standard_count(ideal, weight) == expected
 
 
-def _literal_colon(gens: tuple[Monomial, ...], var: int, trunc: int) -> tuple[Monomial, ...]:
-    """(I : x_var) as written: divide what x_var divides, cut at trunc, minimalize."""
-    divided = [div_var(g, var) if dict(g.exps).get(var) else g for g in gens]
-    return minimalize(g for g in divided if g.weight <= trunc)
-
-
 def _assert_colon_is_literal(ideal: MonomialIdeal) -> None:
     # every pivot up to one heavier than the truncation, at every budget a
-    # split can pass down, on what a split passes: the generators on x_var and up
+    # split can pass down, on what a split passes: the generators on x_var and
+    # up; `colon_var` is the literal colon, checked against membership above
     for var in range(ideal.min_var, ideal.trunc + 2):
         upper = tuple(g for g in ideal.gens if g.exps[0][0] >= var)
         for trunc in range(ideal.trunc + 1):
-            expected = _literal_colon(upper, var, trunc)
+            expected = colon_var(MonomialIdeal(upper, ideal.min_var, trunc), var).gens
             assert _colon(upper, var, trunc) == expected, (str(ideal), var, trunc)
 
 

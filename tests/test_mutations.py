@@ -27,15 +27,16 @@ only the clauses in `UNREACHED` have none.  See DeMillo, Lipton and Sayward,
 from __future__ import annotations
 
 import inspect
-import io
 import json
 from types import ModuleType
 from typing import NamedTuple
 
 import pytest
 
-from gga_verify import cli, hilbert, partitions, recursion
+from gga_verify import hilbert, partitions, recursion
 from gga_verify.errors import NonDivisible
+
+from oracles import run_cli
 
 LEMMAS_ARGV = ["verify", "--lemmas", "--r", "2..4", "--i", "all", "--J", "0..1", "--N", "20"]
 HILBERT_ARGV = ["hilbert", "--family", "LriJ", "--r", "3", "--i", "2", "--N", "20"]
@@ -174,13 +175,8 @@ def mutant(row: Row):
     return namespace[function.__name__]
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    return cli.run(argv, stdout=out), out.getvalue()
-
-
 def run_verify(argv: list[str]) -> tuple[int, list[dict]]:
-    code, out = run(argv)
+    code, out = run_cli(*argv)
     return code, [json.loads(line) for line in out.splitlines()]
 
 
@@ -191,10 +187,10 @@ def test_unmutated_sources_recompile_to_the_same_runs(monkeypatch) -> None:
     targets.update({(hilbert, row.function): row for _, row in ENGINE_MUTANTS})
     same = {key: mutant(row._replace(replacement=row.token)) for key, row in targets.items()}
     argvs = [LEMMAS_ARGV, HILBERT_ARGV, LK_ARGV]
-    before = [run(argv) for argv in argvs]
+    before = [run_cli(*argv) for argv in argvs]
     for (module, function), recompiled in same.items():
         monkeypatch.setattr(module, function, recompiled)
-    assert [run(argv) for argv in argvs] == before
+    assert [run_cli(*argv) for argv in argvs] == before
     assert [code for code, _ in before] == [0, 0, 0]
 
 

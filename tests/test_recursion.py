@@ -264,12 +264,6 @@ def test_verify_hp_step_ell_one_degenerates() -> None:
     assert report.passed
 
 
-def test_verify_hp_expansion_base_and_deeper() -> None:
-    assert verify_hp_expansion(2, 2, 0, 1, 25).passed
-    assert verify_hp_expansion(2, 2, 0, 2, 25).passed
-    assert verify_hp_expansion(3, 1, 1, 3, 25).passed
-
-
 def test_verify_hp_expansion_every_depth_to_stop() -> None:
     n = 25
     r, i, J = 2, 2, 0
@@ -278,8 +272,6 @@ def test_verify_hp_expansion_every_depth_to_stop() -> None:
 
 
 def test_verify_c_expansion_examples() -> None:
-    assert verify_c_expansion(2, 1, 0, 1, 25).passed
-    assert verify_c_expansion(2, 2, 1, 2, 25).passed
     assert verify_c_expansion(3, 2, 1, 3, 22).passed
 
 
@@ -298,7 +290,6 @@ def test_stop_depth() -> None:
 
 
 def test_verify_limits_passes() -> None:
-    assert verify_limits(2, 2, 0, 30).passed
     assert verify_limits(3, 3, 2, 30).passed
     assert verify_limits(2, 1, 1, 21).passed  # odd truncation
 

@@ -3,14 +3,11 @@ does every truncation below them."""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
-from gga_verify import cli
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import build_L_k_ell, hp_notation
-from gga_verify.monomial import MonomialIdeal
+from gga_verify.monomial import MonomialIdeal, standard_count
 from gga_verify.partitions import (
     allowed_parts_C,
     count_C,
@@ -38,6 +35,8 @@ from gga_verify.recursion import (
     verify_main,
     verify_mn_tables,
 )
+
+from oracles import run_cli
 
 # Out-of-range values of each parameter, for a valid call at r = 2.
 BAD = {
@@ -123,6 +122,7 @@ FLOORS = {
     "TruncatedSeries.__getitem__": ("degree", 0, lambda v: series_one(3)[v]),
     "eq_up_to": ("n", 0, lambda v: eq_up_to(series_one(3), series_one(3), v)),
     "product_geometric_inverses": ("part", 1, lambda v: product_geometric_inverses([v], 5)),
+    "standard_count": ("degree", 0, lambda v: standard_count(MonomialIdeal.build([], 1, 5), v)),
 }
 
 
@@ -143,8 +143,8 @@ def test_plain_family_is_validated_as_the_capped_family_at_ell_r(
 ) -> None:
     # `hilbert --family Lk` fails as `--family Lkl --ell r`, with the same line
     flags = ["--k", str(k), "--r", str(r), "--N", str(n)]
-    plain = cli.run(["hilbert", "--family", "Lk", *flags], stdout=io.StringIO())
+    plain = run_cli("hilbert", "--family", "Lk", *flags)
     plain_err = capsys.readouterr().err
-    capped = cli.run(["hilbert", "--family", "Lkl", "--ell", str(r), *flags], stdout=io.StringIO())
+    capped = run_cli("hilbert", "--family", "Lkl", "--ell", str(r), *flags)
     assert (plain, plain_err) == (capped, capsys.readouterr().err)
-    assert plain == 2 and plain_err.startswith("error: ") and plain_err.count("\n") == 1
+    assert plain == (2, "") and plain_err.startswith("error: ") and plain_err.count("\n") == 1
