@@ -170,8 +170,7 @@ def coeff_table(kind: str, r: int, J: int, anchor: int, d_max: int, n: int) -> C
         prefix = list(accumulate(row, initial=zero))
         for j in range(1, r + 1):
             step = prefix[r - j + 1].shift(2 * (d + 1) * (j - 1))
-            if r - j >= 1:
-                step = step + prefix[r - j].shift(2 * (d + 1) * j - 1)
+            step = step + prefix[r - j].shift(2 * (d + 1) * j - 1)
             entries[(j, d + 1)] = row[j - 1] = step
     return CoeffTable(entries)
 

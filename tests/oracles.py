@@ -1,20 +1,23 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is deliberately written against different algorithms than the
-package: recursive enumeration of every partition, with the difference
-conditions tested cell by cell, instead of the package's one iterative
-pruned walk per r over the admissible partitions only; a pruned depth-first
-walk over whole partitions and a forward pass over the weight that appends
-one part at a time instead of the package's pass over part values in
-Andrews' frequency form for the gap side; a filter over every partition of
-each weight instead of the package's walk over the standard monomials only;
-the classical pentagonal-number recurrence instead of product expansion; the
-product cascade with fixed-truncation shifts on pentagonal bases instead of
-the package's cascade on placed theta numerators, which divides exactly as
-it goes; and literal restatements of generator families.  Agreement between
-these and the package is evidence, not circularity.  The seeded random
-ideals and the in-process CLI runner that several test files share live here
-too.
+package, and each reference is written once.  One recursive enumerator,
+`descending_partitions`, yields every partition largest part first; the
+package walks smallest part first on explicit stacks.  It feeds one literal
+rule for the difference conditions, `gap_conditions_ok`, tested cell by cell
+in either order, instead of the package's one pruned walk per r over the
+admissible partitions only; and one filter over every partition of each
+weight, `standard_monomials`, instead of the package's walk over the standard
+monomials only.  For the gap side there are also a pruned depth-first walk
+over whole partitions and a forward pass over the weight that appends one
+part at a time, instead of the package's pass over part values in Andrews'
+frequency form; the classical pentagonal-number recurrence instead of product
+expansion; the product cascade with fixed-truncation shifts on pentagonal
+bases instead of the package's cascade on placed theta numerators, which
+divides exactly as it goes; and literal restatements of generator families.
+Agreement between these and the package is evidence, not circularity.  The
+seeded random ideals and the in-process CLI runner that several test files
+share live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import io
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from gga_verify import cli
@@ -35,46 +37,13 @@ from gga_verify.qseries import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Non-increasing sequence of positive parts; the empty tuple partitions 0."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for p in self.parts:
-            if p <= 0:
-                raise ValueError(f"nonpositive part {p}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts not non-increasing: {self.parts}")
-            prev = p
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-
-def ascending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as ascending tuples, smallest part first."""
-    def extend(remaining: int, smallest: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for part in range(smallest, remaining + 1):
-            if remaining - part and remaining - part < part:
-                continue
-            acc.append(part)
-            yield from extend(remaining - part, part, acc)
-            acc.pop()
-
-    yield from extend(n, min_part, [])
-
-
 def descending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as non-increasing tuples, in decreasing lex order."""
+    """All partitions of n into parts >= min_part, as non-increasing tuples.
+
+    The one enumerator of the test references.  It recurses largest part
+    first, in decreasing lex order, so it shares no idiom with the package's
+    walks, which build partitions smallest part first on an explicit stack.
+    """
     prefix: list[int] = []
 
     def descend(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -90,15 +59,6 @@ def descending_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]
             prefix.pop()
 
     yield from descend(n, n)
-
-
-def enumerate_partitions(n: int, min_part: int = 1) -> Iterator[Partition]:
-    """Every partition of n with all parts >= min_part, as validated `Partition`s.
-
-    They come in lexicographically decreasing order of their part sequences,
-    e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4.
-    """
-    return map(Partition, descending_partitions(n, min_part))
 
 
 def gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
@@ -127,25 +87,12 @@ def admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
     return sum(1 for p in parts if p <= 2) <= i - 1
 
 
-def gap_conditions_descending(parts: tuple[int, ...], r: int) -> bool:
-    """The difference conditions read literally on non-increasing parts."""
-    s = len(parts)
-    for m in range(s - 1):
-        if parts[m] == parts[m + 1] and parts[m] % 2 == 1:
-            return False
-    for m in range(s - (r - 1)):
-        need = 2 if parts[m] % 2 == 1 else 3
-        if parts[m] - parts[m + r - 1] < need:
-            return False
-    return True
-
-
 def admissible_E(parts: tuple[int, ...], r: int, i: int, J: int) -> bool:
     """Generalized gap-side admissibility of non-increasing parts, read literally."""
     if parts and parts[-1] <= 2 * J:
         return False
     small = sum(1 for p in parts if p <= 2 * J + 2)
-    return gap_conditions_descending(parts, r) and small <= i - 1
+    return gap_conditions_ok(parts, r) and small <= i - 1
 
 
 def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
@@ -270,7 +217,7 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 def standard_monomials(ideal: MonomialIdeal, weight: int) -> Iterator[Monomial]:
     """All standard monomials of the given weight: every partition, filtered."""
-    for parts in ascending_partitions(weight, ideal.min_var):
+    for parts in descending_partitions(weight, ideal.min_var):
         m = monomial_from_parts(parts)
         if not contains(ideal, m):
             yield m
@@ -357,7 +304,7 @@ def valuation(series: TruncatedSeries) -> int | None:
 def restricted_partition_count(n: int, allowed: Sequence[int]) -> int:
     """Number of partitions of n with every part in `allowed`, by enumeration."""
     allowed_set = set(allowed)
-    return sum(1 for p in ascending_partitions(n) if all(x in allowed_set for x in p))
+    return sum(1 for p in descending_partitions(n) if all(x in allowed_set for x in p))
 
 
 def classical_partition_count(n: int) -> int:

@@ -146,9 +146,33 @@ def test_hp_split_free_quotient_is_geometric_product() -> None:
         assert hp_split(free).coeffs == expected.coeffs
 
 
-def test_hp_split_single_square_against_brute() -> None:
-    ideal = MonomialIdeal.build([make_monomial({1: 2})], 1, 12)
-    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
+def _ideal(gens: list[dict[int, int]], trunc: int) -> MonomialIdeal:
+    return MonomialIdeal.build([make_monomial(exps) for exps in gens], 1, trunc)
+
+
+# Ideals whose two engines must agree, each with the reason it is here.
+SPLIT_VS_BRUTE = [
+    # one square: the smallest ideal with a colon step
+    pytest.param(_ideal([{1: 2}], 12), id="single-square"),
+    # single-variable generators: the add branch is a fixed point there, so
+    # the pivot rule must never select one of them
+    pytest.param(_ideal([{1: 1}, {2: 2}, {3: 1, 4: 1}], 15), id="killed-variables"),
+    # dense repeated variables: every split must still terminate
+    pytest.param(
+        _ideal([{1: 5}, {1: 4, 2: 3}, {1: 2, 2: 2, 3: 2}, {2: 4, 4: 1}], 20),
+        id="dense-repeated-variables",
+    ),
+    # the boundary ideals L(r, i, J) that the identities' quotient side reads
+    *(
+        pytest.param(build_L_k_ell(2 * J + 1, i, r, 22), id=f"boundary-r{r}-i{i}-J{J}")
+        for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 3, 0), (3, 1, 2)]
+    ),
+]
+
+
+@pytest.mark.parametrize("ideal", SPLIT_VS_BRUTE)
+def test_hp_split_equals_hp_brute(ideal: MonomialIdeal) -> None:
+    assert hp_split(ideal) == hp_brute(ideal)
 
 
 @st.composite
@@ -309,12 +333,6 @@ def test_engines_run_deeper_than_the_recursion_limit() -> None:
     assert brute.coeffs == (1,) * (n + 1)
 
 
-def test_engine_equivalence_on_family_ideals() -> None:
-    for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 3, 0), (3, 1, 2)]:
-        ideal = build_L_k_ell(2 * J + 1, i, r, 22)
-        assert eq_up_to(hp_brute(ideal), hp_split(ideal), 22)[0]
-
-
 def test_splitting_step_locally_checkable() -> None:
     # HP(I) = q^k HP(I : x_k) + HP(I + x_k) holds for the brute engine alone
     rng = random.Random(99)
@@ -327,15 +345,6 @@ def test_splitting_step_locally_checkable() -> None:
         low = hp_brute(colon_var(ideal, pivot))
         rest = hp_brute(add_var(ideal, pivot))
         assert whole.coeffs == (low.shift(pivot) + rest).coeffs
-
-
-def test_hp_split_handles_killed_variables() -> None:
-    # ideals with single-variable generators: the add branch is a fixed point
-    # there, so the pivot rule must never select one of them
-    ideal = MonomialIdeal.build(
-        [make_monomial({1: 1}), make_monomial({2: 2}), make_monomial({3: 1, 4: 1})], 1, 15
-    )
-    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
 def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
@@ -351,17 +360,6 @@ def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
     assert ideal != MonomialIdeal.build(gens, 1, 15)
     assert hp_split(ideal) == hp_brute(ideal)
     assert hp_split(ideal) == hp_brute(MonomialIdeal.build(gens, 1, 15))
-
-
-def test_hp_split_terminates_on_dense_repeated_variables() -> None:
-    gens = [
-        make_monomial({1: 5}),
-        make_monomial({1: 4, 2: 3}),
-        make_monomial({1: 2, 2: 2, 3: 2}),
-        make_monomial({2: 4, 4: 1}),
-    ]
-    ideal = MonomialIdeal.build(gens, 1, 20)
-    assert hp_split(ideal).coeffs == hp_brute(ideal).coeffs
 
 
 def test_partition_bridge() -> None:

@@ -22,8 +22,8 @@ from gga_verify.monomial import (
 from oracles import (
     classical_partition_count,
     contains,
+    descending_partitions,
     divides,
-    enumerate_partitions,
     make_monomial,
     monomial_from_parts,
     mul_var,
@@ -141,11 +141,7 @@ def test_colon_var_examples() -> None:
 def _membership_cases() -> Iterator[tuple[MonomialIdeal, int, list[Monomial]]]:
     """15 seeded ideals, each with a variable and every monomial of weight <= 8."""
     rng = random.Random(5)
-    probes = [
-        monomial_from_parts(p.parts)
-        for w in range(9)
-        for p in enumerate_partitions(w)
-    ]
+    probes = [monomial_from_parts(p) for w in range(9) for p in descending_partitions(w)]
     for _ in range(15):
         gens = [_random_monomial(rng, max_var=4) for _ in range(rng.randint(1, 5))]
         yield MonomialIdeal.build(gens, 1, 20), rng.randint(1, 4), probes
@@ -186,7 +182,7 @@ def test_standard_count_examples() -> None:
 
     # quotient by (x_1): monomials avoiding x_1 = partitions with parts >= 2
     no_x1 = MonomialIdeal.build([m(x1=1)], 1, 10)
-    expected = sum(1 for _ in enumerate_partitions(3, 2))
+    expected = sum(1 for _ in descending_partitions(3, 2))
     assert standard_count(no_x1, 3) == expected == 1
 
     unit = MonomialIdeal.build([UNIT], 1, 10)

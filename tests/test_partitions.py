@@ -16,49 +16,37 @@ from gga_verify.partitions import (
 from gga_verify.recursion import c_series
 
 from oracles import (
-    Partition,
     admissible_D,
     admissible_E,
-    ascending_partitions,
     classical_partition_count,
     descending_partitions,
-    enumerate_partitions,
     forward_dp_series_E,
-    gap_conditions_descending,
     gap_conditions_ok,
     pruned_count_E,
     restricted_partition_count,
 )
 
 
-def test_partition_validation() -> None:
-    assert len(Partition((4, 2, 2, 1))) == 4
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((3, 0))
-
-
-def test_enumerate_partitions_count_matches_recurrence() -> None:
+def test_descending_partitions_count_matches_recurrence() -> None:
     for n in range(13):
-        assert sum(1 for _ in enumerate_partitions(n)) == classical_partition_count(n)
+        assert sum(1 for _ in descending_partitions(n)) == classical_partition_count(n)
 
 
-def test_enumerate_partitions_of_four_in_order() -> None:
-    got = [p.parts for p in enumerate_partitions(4)]
+def test_descending_partitions_respects_min_part() -> None:
+    # dropping one part 1 maps the partitions of n that have one onto those of n - 1
+    for n in range(1, 13):
+        without_ones = sum(1 for _ in descending_partitions(n, 2))
+        assert without_ones == classical_partition_count(n) - classical_partition_count(n - 1)
+
+
+def test_descending_partitions_of_four_in_order() -> None:
+    got = list(descending_partitions(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
-def test_enumerate_partitions_edge_cases() -> None:
-    assert [p.parts for p in enumerate_partitions(0)] == [()]
-    assert [p.parts for p in enumerate_partitions(5, 3)] == [(5,)]
-
-
-def test_enumerate_partitions_respects_min_part() -> None:
-    for n in range(11):
-        got = {p.parts for p in enumerate_partitions(n, 2)}
-        expected = {tuple(reversed(a)) for a in ascending_partitions(n, 2)}
-        assert got == expected
+def test_descending_partitions_edge_cases() -> None:
+    assert list(descending_partitions(0)) == [()]
+    assert list(descending_partitions(5, 3)) == [(5,)]
 
 
 def test_allowed_parts_first_and_second_congruence_family() -> None:
@@ -103,7 +91,7 @@ def test_count_D_examples() -> None:
 
 
 def test_count_D_survivors_listed() -> None:
-    survivors = [p.parts for p in enumerate_partitions(5) if admissible_D(p.parts, 2, 2)]
+    survivors = [p for p in descending_partitions(5) if admissible_D(p, 2, 2)]
     assert survivors == [(5,), (4, 1)]
 
 
@@ -118,11 +106,7 @@ def test_count_E_matches_double_filter_oracle() -> None:
         for i in range(1, r + 1):
             for J in (0, 1, 2):
                 for n in range(21):
-                    brute = sum(
-                        1
-                        for p in enumerate_partitions(n)
-                        if admissible_E(p.parts, r, i, J)
-                    )
+                    brute = sum(admissible_E(p, r, i, J) for p in descending_partitions(n))
                     assert count_E(r, i, J, n) == brute, (r, i, J, n)
 
 
@@ -156,21 +140,19 @@ def test_boundary_condition_vacuous_for_deep_partitions() -> None:
     r, i = 2, 2
     for J in (0, 1):
         for n in range(16):
-            for p in enumerate_partitions(n, 2 * J + 3):
-                assert admissible_E(p.parts, r, i, J) == admissible_E(p.parts, r, i, J + 1)
+            for p in descending_partitions(n, 2 * J + 3):
+                assert admissible_E(p, r, i, J) == admissible_E(p, r, i, J + 1)
 
 
 def test_gap_conditions_vacuous_for_short_partitions() -> None:
     r, i = 4, 3
     for n in range(14):
-        for p in enumerate_partitions(n):
+        for p in descending_partitions(n):
             if len(p) >= r:
                 continue
-            no_odd_repeat = all(
-                not (a == b and a % 2 == 1) for a, b in zip(p.parts, p.parts[1:])
-            )
-            boundary_ok = sum(1 for x in p.parts if x <= 2) <= i - 1
-            assert admissible_D(p.parts, r, i) == (no_odd_repeat and boundary_ok)
+            no_odd_repeat = all(not (a == b and a % 2 == 1) for a, b in zip(p, p[1:]))
+            boundary_ok = sum(1 for x in p if x <= 2) <= i - 1
+            assert admissible_D(p, r, i) == (no_odd_repeat and boundary_ok)
 
 
 def test_series_E_examples() -> None:
@@ -207,7 +189,6 @@ def test_count_D_equals_the_per_cell_filter(data: st.DataObject, r: int, n: int)
 def test_gap_conditions_independent_of_order(parts: list[int], r: int) -> None:
     p = tuple(sorted(parts, reverse=True))
     assert gap_conditions_ok(p, r) == gap_conditions_ok(p[::-1], r)
-    assert gap_conditions_ok(p, r) == gap_conditions_descending(p, r)
 
 
 def test_series_E_matches_pruned_walk_grid() -> None:

@@ -36,7 +36,7 @@ from gga_verify.recursion import (
     verify_mn_tables,
 )
 
-from oracles import run_cli
+from oracles import make_monomial, run_cli
 
 # Out-of-range values of each parameter, for a valid call at r = 2.
 BAD = {
@@ -86,6 +86,7 @@ CASES = [
 CASES += [
     pytest.param(verify_hp_step, "k", 2, VALID[verify_hp_step], id="verify_hp_step-k=2"),
     pytest.param(verify_hp_step, "k", 1, {**VALID[verify_hp_step], "J": 1}, id="verify_hp_step-k=1-J=1"),
+    pytest.param(verify_hp_step, "k", 3, {**VALID[verify_hp_step], "J": 2}, id="verify_hp_step-k=3-J=2"),
     pytest.param(allowed_parts_C, "index", 3, VALID[allowed_parts_C], id="allowed_parts_C-index=3"),
 ]
 
@@ -131,6 +132,24 @@ def test_parameter_floor_is_rejected_by_the_validator(name: str, low: int, make)
     make(low)
     with pytest.raises(ParamOutOfRange, match=rf"^{name} = {low - 1} violates {name} >= {low}$"):
         make(low - 1)
+
+
+# Guards outside the validator: each call raises ValueError with exactly this line.
+GUARDS = {
+    "MonomialIdeal.build-below-ring": (
+        lambda: MonomialIdeal.build([make_monomial({1: 2, 5: 1})], 3, 10),
+        "generator x1^2*x5 uses x_1 below the ambient ring x_3",
+    ),
+    "TruncatedSeries.shift": (lambda: series_one(3).shift(-1), "negative shift -1"),
+    "TruncatedSeries.div_q_pow": (lambda: series_one(3).div_q_pow(-1), "negative power -1"),
+}
+
+
+@pytest.mark.parametrize(("make", "message"), GUARDS.values(), ids=GUARDS.keys())
+def test_guard_rejects_with_its_message(make, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 # (k, r, n) with one or more parameters out of range; r is reported first.
