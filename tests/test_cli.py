@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -16,23 +17,163 @@ from gga_verify.recursion import CheckReport
 
 from oracles import run_cli
 
+SERIES_C = '{"trunc":6,"coeffs":["1","1","1","1","2","2","2"]}\n'
+COUNT_C = '{"kind":"c","params":{"r":2,"i":2,"J":0},"n":5,"count":"2"}\n'
+COUNT_D = '{"kind":"d","params":{"r":2,"i":2,"J":0},"n":5,"count":"2"}\n'
+# the second series is keyed hp_split, whichever splitting mode computes it
+HILBERT_LK = (
+    '{"family":"Lk","params":{"k":3,"r":2,"N":8},"min_var":3,'
+    '"generators":["x3^2","x3*x4","x4^2"],'
+    '"hp_brute":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
+    '"hp_split":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
+    '"engines_agree":true}\n'
+)
+HILBERT_LKL = (
+    '{"family":"Lkl","params":{"k":2,"ell":1,"r":3,"N":6},"min_var":2,'
+    '"generators":["x2","x3^2"],'
+    '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
+    '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
+)
+VERIFY = (
+    '{"check":"main","params":{"r":2,"i":1,"ell":2,"J":0,"N":5},'
+    '"pass":true,"first_mismatch":null,"truncation":5}\n'
+)
 
-def test_series_c_documented_output() -> None:
-    code, out = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "6")
-    assert code == 0
-    assert out == '{"trunc":6,"coeffs":["1","1","1","1","2","2","2"]}\n'
+# Each argv, and the exact stdout of its exit-0 run.  A --J 0 row prints the
+# bytes of the same argv without it; the rows without --N pin its default.
+OUTPUTS = {
+    "series c --r 2 --index 1 --N 6": SERIES_C,
+    "series c --r 2 --index 1 --J 0 --N 6": SERIES_C,
+    "series e --r 2 --i 2 --J 0 --N 6": SERIES_C,  # the gap side at level zero
+    "series c --r 2 --index 1 --N 0": '{"trunc":0,"coeffs":["1"]}\n',
+    "series c --r 3 --index 4 --N 12": (
+        '{"trunc":12,"coeffs":["1","0","0","1","1","1","1","1","2","3","3","4","5"]}\n'
+    ),
+    "series c --r 2 --index 1": (
+        '{"trunc":20,"coeffs":["1","1","1","1","2","2","2","3","4","5","5",'
+        '"6","8","9","10","12","15","17","19","22","26"]}\n'
+    ),
+    "series c --r 2 --index 1 --N 3 --format table": "0\t1\n1\t1\n2\t1\n3\t1\n",
+    "count c --r 2 --i 2 --n 5": COUNT_C,
+    "count c --r 2 --i 2 --J 0 --n 5": COUNT_C,
+    "count d --r 2 --i 2 --n 5": COUNT_D,
+    "count d --r 2 --i 2 --J 0 --n 5": COUNT_D,
+    "count e --r 2 --i 2 --J 1 --n 7": '{"kind":"e","params":{"r":2,"i":2,"J":1},"n":7,"count":"1"}\n',
+    "count d --r 2 --i 2 --n 5 --format table": "d\tr=2 i=2 J=0\tn=5\t2\n",
+    "hilbert --family LriJ --r 2 --i 1 --N 6": (
+        '{"family":"LriJ","params":{"r":2,"i":1,"J":0,"N":6},"min_var":1,'
+        '"generators":["x1","x2","x3^2"],'
+        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
+        '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
+    ),
+    "hilbert --family LriJ --r 2 --i 1 --J 1 --N 6": (  # anchor k = 2J + 1 = 3
+        '{"family":"LriJ","params":{"r":2,"i":1,"J":1,"N":6},"min_var":3,'
+        '"generators":["x3","x4"],'
+        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","0","0","1","1"]},'
+        '"hp_split":{"trunc":6,"coeffs":["1","0","0","0","0","1","1"]},"engines_agree":true}\n'
+    ),
+    "hilbert --family Lk --k 3 --r 2 --N 8": HILBERT_LK,
+    "hilbert --family Lk --k 3 --r 2 --J 0 --N 8": HILBERT_LK,
+    "hilbert --family Lk --k 3 --r 2 --format table": (
+        "family Lk  min_var=3  engines_agree=True\n"
+        "  x3^2\n  x3*x4\n  x4^2\n  x4*x5\n  x4*x6\n  x5^2\n  x5*x6\n  x6^2\n  x6*x7\n"
+        "  x6*x8\n  x7^2\n  x7*x8\n  x8^2\n  x8*x9\n  x8*x10\n  x9^2\n  x9*x10\n  x10^2\n"
+        "  hp: 1,0,0,1,1,1,1,1,2,2,2,3,4,4,4,6,7,7,8,10,12\n"
+    ),
+    "hilbert --family Lkl --k 2 --ell 1 --r 3 --N 6": HILBERT_LKL,
+    "hilbert --family Lkl --k 2 --ell 1 --r 3 --J 0 --N 6": HILBERT_LKL,
+    "verify": (
+        '{"check":"main","params":{"r":2,"i":1,"ell":2,"J":0,"N":40},'
+        '"pass":true,"first_mismatch":null,"truncation":40}\n'
+        '{"check":"main","params":{"r":2,"i":2,"ell":1,"J":0,"N":40},'
+        '"pass":true,"first_mismatch":null,"truncation":40}\n'
+    ),
+    "verify --r 2 --i 1 --J 0 --N 5": VERIFY,
+    "verify --r 2..2 --i 1..1 --J 0..0 --N 5": VERIFY,
+    "verify --r 2 --i 1 --N 5 --format table": 'PASS\tmain\t{"r":2,"i":1,"ell":2,"J":0,"N":5}\n',
+    # the lemma checks in order: d = J + 1, J + 2, then the tables to J + 3
+    "verify --lemmas --r 2 --i 1 --J 0 --N 3 --format table": (
+        'PASS\tmain\t{"r":2,"i":1,"ell":2,"J":0,"N":3}\n'
+        'PASS\thp_step\t{"r":2,"k":1,"ell":2,"J":0,"N":3}\n'
+        'PASS\thp_expansion\t{"r":2,"i":1,"J":0,"d":1,"N":3}\n'
+        'PASS\tc_expansion\t{"r":2,"ell":2,"J":0,"d":1,"N":3}\n'
+        'PASS\thp_expansion\t{"r":2,"i":1,"J":0,"d":2,"N":3}\n'
+        'PASS\tc_expansion\t{"r":2,"ell":2,"J":0,"d":2,"N":3}\n'
+        'PASS\tmn_tables\t{"r":2,"i":1,"ell":2,"J":0,"d_max":3,"N":3}\n'
+        'PASS\tlimits\t{"r":2,"i":1,"ell":2,"J":0,"N":3,"d_stop":1,"depth":2}\n'
+    ),
+}
 
 
-def test_series_e_matches_series_c_at_level_zero() -> None:
-    _, via_c = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "6")
-    _, via_e = run_cli("series", "e", "--r", "2", "--i", "2", "--J", "0", "--N", "6")
-    assert via_c == via_e
+@pytest.mark.parametrize(("argv", "stdout"), OUTPUTS.items(), ids=OUTPUTS.keys())
+def test_output(argv: str, stdout: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    def unused(*args, **kwargs):
+        raise AssertionError("hp_split was called")
+
+    monkeypatch.setattr(hilbert, "hp_split", unused)  # hilbert runs verify's engine
+    assert run_cli(*argv.split()) == (0, stdout)
 
 
-def test_series_degenerate_truncation() -> None:
-    code, out = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "0")
-    assert code == 0
-    assert out == '{"trunc":0,"coeffs":["1"]}\n'
+# Each argv, and the one line after "error: " that it exits 2 with, before any
+# output.  A family's anchor and cap are named as its own flags: LriJ's as i
+# and J, not as the k and ell of the family ideal it builds.
+USAGE_ERRORS = {
+    "series c --r 2 --N 6": "series c requires --index",
+    "series c --r 2 --index 1 --i 1 --N 6": "series c does not take --i",
+    "series e --r 2 --i 1 --index 1 --N 6": "series e does not take --index",
+    "series c --r 2 --index 1 --J 5 --N 6": "series c takes its level from --index: --J must be 0, not 5",
+    "series c --r 2 --index 1 --N -1": "N = -1 violates N >= 0",
+    "series e --r 2 --i 1 --N -1": "N = -1 violates N >= 0",
+    "count c --r 2 --i 2 --J 1 --n 5": "count c is a level-zero count: --J must be 0, not 1",
+    "count d --r 2 --i 2 --J 1 --n 5": "count d is a level-zero count: --J must be 0, not 1",
+    "hilbert --family LriJ --r 2 --i 1 --N -1": "N = -1 violates N >= 0",
+    "hilbert --family LriJ --r 2 --i 1 --k 3 --N 6": "family LriJ does not take --k",
+    "hilbert --family LriJ --r 2 --i 1 --ell 1 --N 6": "family LriJ does not take --ell",
+    "hilbert --family LriJ --r 3 --i 4": "i = 4 violates 1 <= i <= 3",
+    "hilbert --family LriJ --r 3 --i 0": "i = 0 violates 1 <= i <= 3",
+    "hilbert --family LriJ --r 3 --i 2 --J -1": "J = -1 violates J >= 0",
+    "hilbert --family LriJ --r 3 --i 9 --J -2": "i = 9 violates 1 <= i <= 3",
+    "hilbert --family Lk --k 3 --r 2 --i 9 --N 3": "family Lk does not take --i",
+    "hilbert --family Lk --k 3 --ell 1 --r 2 --N 6": "family Lk does not take --ell",
+    "hilbert --family Lk --k 3 --r 2 --J 5 --N 8": "family Lk has no level: --J must be 0, not 5",
+    "hilbert --family Lk --k 0 --r 3": "k = 0 violates k >= 1",
+    "hilbert --family Lkl --k 2 --ell 1 --r 3 --i 1 --N 6": "family Lkl does not take --i",
+    "hilbert --family Lkl --k 2 --ell 1 --r 3 --J 5 --N 6": "family Lkl has no level: --J must be 0, not 5",
+    "hilbert --family Lkl --k 3 --ell 4 --r 3": "ell = 4 violates 1 <= ell <= 3",
+    "hilbert --family Lkl --k 3 --ell 0 --r 3": "ell = 0 violates 1 <= ell <= 3",
+    "hilbert --family Lkl --k 0 --ell 9 --r 3": "k = 0 violates k >= 1",
+    "verify --r 1 --N 5": "r = 1 violates r >= 2",
+    "verify --r 2 --i 3 --N 5": "i = 3 violates 1 <= i <= 2",
+    "verify --r 2 --i 1..3 --N 5": "i = 3 violates 1 <= i <= 2",  # no cell runs first
+    "verify --r 2.. --N 5": "--r 2.. is not an integer or a range A..B",
+    "verify --i x --N 5": "--i x is not an integer or a range A..B",
+    "verify --J 0..y --N 5": "--J 0..y is not an integer or a range A..B",
+    "verify --r 4..2 --N 5": "--r 4..2 is an empty range",
+}
+
+
+@pytest.mark.parametrize(("argv", "line"), USAGE_ERRORS.items(), ids=USAGE_ERRORS.keys())
+def test_usage_error(argv: str, line: str, capsys: pytest.CaptureFixture[str]) -> None:
+    assert run_cli(*argv.split()) == (2, "")
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+class FlushRecorder(io.StringIO):
+    """A stdout that records how many lines it holds at each flush."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.flushed: list[int] = []
+
+    def flush(self) -> None:
+        self.flushed.append(self.getvalue().count("\n"))
+        super().flush()
+
+
+def test_verify_flushes_each_report_as_it_is_written() -> None:
+    stdout = FlushRecorder()
+    assert cli.run(["verify", "--r", "2", "--N", "5"], stdout=stdout) == 0
+    assert stdout.flushed == [1, 2]
 
 
 def test_series_output_roundtrips() -> None:
@@ -42,151 +183,11 @@ def test_series_output_roundtrips() -> None:
     assert series.trunc == data["trunc"] == 12
 
 
-def test_series_missing_index_is_usage_error() -> None:
-    code, _ = run_cli("series", "c", "--r", "2", "--N", "6")
-    assert code == 2
-
-
-def test_count_commands() -> None:
-    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5")
+def test_verify_with_lemmas_includes_all_check_kinds() -> None:
+    code, out = run_cli("verify", "--lemmas", "--r", "2", "--i", "2", "--J", "0", "--N", "14")
     assert code == 0
-    assert json.loads(out) == {
-        "kind": "d",
-        "params": {"r": 2, "i": 2, "J": 0},
-        "n": 5,
-        "count": "2",
-    }
-    _, out_c = run_cli("count", "c", "--r", "2", "--i", "2", "--n", "5")
-    assert json.loads(out_c)["count"] == "2"
-    _, out_e = run_cli("count", "e", "--r", "2", "--i", "2", "--J", "1", "--n", "7")
-    assert json.loads(out_e)["count"] == "1"
-
-
-@pytest.mark.parametrize("kind", ["c", "d"])
-def test_count_level_zero_kinds_reject_nonzero_J(
-    kind: str, capsys: pytest.CaptureFixture[str]
-) -> None:
-    code, out = run_cli("count", kind, "--r", "2", "--i", "1", "--J", "1", "--n", "9")
-    assert code == 2
-    assert out == ""
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: count {kind} is a level-zero count") and err.count("\n") == 1
-    code, out = run_cli("count", kind, "--r", "2", "--i", "1", "--J", "0", "--n", "9")
-    assert code == 0
-    assert json.loads(out)["params"] == {"r": 2, "i": 1, "J": 0}
-
-
-LEVEL_FREE = {
-    "series-c": ["series", "c", "--r", "2", "--index", "1", "--N", "8"],
-    "hilbert-Lk": ["hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "12"],
-    "hilbert-Lkl": ["hilbert", "--family", "Lkl", "--k", "2", "--ell", "1", "--r", "3", "--N", "12"],
-}
-
-
-@pytest.mark.parametrize("argv", LEVEL_FREE.values(), ids=LEVEL_FREE.keys())
-def test_level_free_commands_reject_nonzero_J(
-    argv: list[str], capsys: pytest.CaptureFixture[str]
-) -> None:
-    default = run_cli(*argv)
-    assert default[0] == 0
-    code, out = run_cli(*argv, "--J", "5")
-    assert code == 2
-    assert out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--J must be 0, not 5" in err and err.count("\n") == 1
-    assert run_cli(*argv, "--J", "0") == default
-
-
-# Each argv gives a flag its family or kind does not read, and the one error line.
-UNREAD_FLAG = [
-    ("hilbert --family Lk --k 3 --r 2 --i 9 --N 3", "family Lk does not take --i"),
-    ("hilbert --family Lk --k 3 --ell 1 --r 2 --N 6", "family Lk does not take --ell"),
-    ("hilbert --family Lkl --k 2 --ell 1 --r 3 --i 1 --N 6", "family Lkl does not take --i"),
-    ("hilbert --family LriJ --r 2 --i 1 --k 3 --N 6", "family LriJ does not take --k"),
-    ("hilbert --family LriJ --r 2 --i 1 --ell 1 --N 6", "family LriJ does not take --ell"),
-    ("series e --r 2 --i 1 --index 1 --N 6", "series e does not take --index"),
-    ("series c --r 2 --index 1 --i 1 --N 6", "series c does not take --i"),
-]
-
-
-@pytest.mark.parametrize(("argv", "message"), UNREAD_FLAG, ids=[argv for argv, _ in UNREAD_FLAG])
-def test_flag_the_family_or_kind_does_not_read_is_rejected(
-    argv: str, message: str, capsys: pytest.CaptureFixture[str]
-) -> None:
-    assert run_cli(*argv.split()) == (2, "")
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-# Per family, flags with an out-of-range anchor or cap, and the one error line:
-# LriJ's name i and J, not the k and ell of the family ideal it builds.
-FAMILY_PARAM = {
-    "LriJ-i=4": ("LriJ --i 4", "i = 4 violates 1 <= i <= 3"),
-    "LriJ-i=0": ("LriJ --i 0", "i = 0 violates 1 <= i <= 3"),
-    "LriJ-J=-1": ("LriJ --i 2 --J -1", "J = -1 violates J >= 0"),
-    "LriJ-i=9-J=-2": ("LriJ --i 9 --J -2", "i = 9 violates 1 <= i <= 3"),
-    "Lk-k=0": ("Lk --k 0", "k = 0 violates k >= 1"),
-    "Lkl-ell=4": ("Lkl --k 3 --ell 4", "ell = 4 violates 1 <= ell <= 3"),
-    "Lkl-ell=0": ("Lkl --k 3 --ell 0", "ell = 0 violates 1 <= ell <= 3"),
-    "Lkl-k=0-ell=9": ("Lkl --k 0 --ell 9", "k = 0 violates k >= 1"),
-}
-
-
-@pytest.mark.parametrize(("flags", "message"), FAMILY_PARAM.values(), ids=FAMILY_PARAM.keys())
-def test_family_parameter_out_of_range_is_named(
-    flags: str, message: str, capsys: pytest.CaptureFixture[str]
-) -> None:
-    assert run_cli("hilbert", "--r", "3", "--family", *flags.split()) == (2, "")
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_hilbert_families() -> None:
-    code, out = run_cli("hilbert", "--family", "LriJ", "--r", "2", "--i", "2", "--J", "0", "--N", "20")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["engines_agree"] is True
-    assert payload["hp_brute"] == payload["hp_split"]
-    assert payload["generators"][0] == "x1^2"
-
-    code, out = run_cli("hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "20")
-    assert code == 0
-    assert json.loads(out)["min_var"] == 3
-
-    code, out = run_cli("hilbert", "--family", "Lkl", "--k", "2", "--ell", "1", "--r", "3", "--N", "20")
-    assert code == 0
-    assert json.loads(out)["engines_agree"] is True
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["hilbert", "--family", "LriJ", "--r", "2", "--i", "1"],
-        ["series", "c", "--r", "2", "--index", "1"],
-        ["series", "e", "--r", "2", "--i", "1"],
-    ],
-    ids=["hilbert", "series-c", "series-e"],
-)
-def test_negative_N_is_named_by_its_flag(argv: list[str], capsys: pytest.CaptureFixture[str]) -> None:
-    code, out = run_cli(*argv, "--N", "-1")
-    assert code == 2
-    assert out == ""
-    assert capsys.readouterr().err == "error: N = -1 violates N >= 0\n"
-
-
-# Each malformed verify range, and the one error line that names its flag.
-BAD_RANGE = [
-    ("--r 2..", "--r 2.. is not an integer or a range A..B"),
-    ("--i x", "--i x is not an integer or a range A..B"),
-    ("--J 0..y", "--J 0..y is not an integer or a range A..B"),
-    ("--r 4..2", "--r 4..2 is an empty range"),
-]
-
-
-@pytest.mark.parametrize(("flags", "message"), BAD_RANGE, ids=[flags for flags, _ in BAD_RANGE])
-def test_malformed_range_is_named_by_its_flag(
-    flags: str, message: str, capsys: pytest.CaptureFixture[str]
-) -> None:
-    assert run_cli("verify", *flags.split(), "--N", "5") == (2, "")
-    assert capsys.readouterr().err == f"error: {message}\n"
+    checks = {json.loads(line)["check"] for line in out.strip().split("\n")}
+    assert checks == {"main", "hp_step", "hp_expansion", "c_expansion", "mn_tables", "limits"}
 
 
 def test_verify_matrix_streams_reports() -> None:
@@ -199,30 +200,6 @@ def test_verify_matrix_streams_reports() -> None:
         assert report["pass"] is True
         assert report["check"] == "main"
         assert report["truncation"] == 12
-
-
-def test_verify_with_lemmas_includes_all_check_kinds() -> None:
-    code, out = run_cli("verify", "--lemmas", "--r", "2", "--i", "2", "--J", "0", "--N", "14")
-    assert code == 0
-    checks = {json.loads(line)["check"] for line in out.strip().split("\n")}
-    assert checks == {"main", "hp_step", "hp_expansion", "c_expansion", "mn_tables", "limits"}
-
-
-def test_verify_rejects_r_below_two() -> None:
-    code, _ = run_cli("verify", "--r", "1", "--N", "5")
-    assert code == 2
-
-
-def test_verify_rejects_fixed_i_beyond_r() -> None:
-    code, _ = run_cli("verify", "--r", "2", "--i", "3", "--N", "5")
-    assert code == 2
-
-
-def test_verify_validates_before_computation() -> None:
-    # the cell (2, 3) is invalid, so nothing at all is emitted
-    code, out = run_cli("verify", "--r", "2..3", "--i", "3", "--J", "0", "--N", "5")
-    assert code == 2
-    assert out == ""
 
 
 def test_determinism_byte_identical() -> None:
@@ -249,27 +226,6 @@ def test_out_flag_unwritable_is_usage_error(tmp_path, capsys: pytest.CaptureFixt
     assert not target.exists()
 
 
-def test_table_format() -> None:
-    code, out = run_cli("series", "c", "--r", "2", "--index", "1", "--N", "3", "--format", "table")
-    assert code == 0
-    assert out.splitlines() == ["0\t1", "1\t1", "2\t1", "3\t1"]
-    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5", "--format", "table")
-    assert code == 0
-    assert out.splitlines() == ["d\tr=2 i=2 J=0\tn=5\t2"]
-    code, out = run_cli("hilbert", "--family", "Lk", "--k", "3", "--r", "2", "--N", "8", "--format", "table")
-    assert code == 0
-    assert out.splitlines() == [
-        "family Lk  min_var=3  engines_agree=True",
-        "  x3^2",
-        "  x3*x4",
-        "  x4^2",
-        "  hp: 1,0,0,1,1,1,1,1,2",
-    ]
-    code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--format", "table")
-    assert code == 0
-    assert out.startswith("PASS\tmain")
-
-
 def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     failing = CheckReport("main", {"r": 2}, False, None, 8)
     monkeypatch.setattr(recursion, "verify_main", lambda *a, **kw: failing)
@@ -278,40 +234,6 @@ def test_exit_one_on_identity_mismatch(monkeypatch: pytest.MonkeyPatch) -> None:
     assert json.loads(out)["pass"] is False
     code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--format", "table")
     assert (code, out) == (1, 'FAIL\tmain\t{"r":2}\n')
-
-
-# One hilbert run per family, byte for byte; the second series is keyed
-# hp_split, whichever splitting mode computes it
-HILBERT_BYTES = {
-    "hilbert --family LriJ --r 2 --i 1 --N 6": (
-        '{"family":"LriJ","params":{"r":2,"i":1,"J":0,"N":6},"min_var":1,'
-        '"generators":["x1","x2","x3^2"],'
-        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
-        '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
-    ),
-    "hilbert --family Lk --k 3 --r 2 --N 8": (
-        '{"family":"Lk","params":{"k":3,"r":2,"N":8},"min_var":3,'
-        '"generators":["x3^2","x3*x4","x4^2"],'
-        '"hp_brute":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
-        '"hp_split":{"trunc":8,"coeffs":["1","0","0","1","1","1","1","1","2"]},'
-        '"engines_agree":true}\n'
-    ),
-    "hilbert --family Lkl --k 2 --ell 1 --r 3 --N 6": (
-        '{"family":"Lkl","params":{"k":2,"ell":1,"r":3,"N":6},"min_var":2,'
-        '"generators":["x2","x3^2"],'
-        '"hp_brute":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},'
-        '"hp_split":{"trunc":6,"coeffs":["1","0","0","1","1","1","1"]},"engines_agree":true}\n'
-    ),
-}
-
-
-def test_hilbert_runs_the_verify_engine_not_hp_split(monkeypatch: pytest.MonkeyPatch) -> None:
-    def unused(*args, **kwargs):
-        raise AssertionError("hilbert called hp_split")
-
-    monkeypatch.setattr(hilbert, "hp_split", unused)
-    for argv, expected in HILBERT_BYTES.items():
-        assert run_cli(*argv.split()) == (0, expected)
 
 
 def _bumped(series: TruncatedSeries) -> TruncatedSeries:
@@ -461,6 +383,22 @@ def test_out_flag_replaces_old_file_on_mismatch(monkeypatch: pytest.MonkeyPatch,
     code, _ = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
     assert code == 1
     assert json.loads(target.read_text())["pass"] is False
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_flag_keeps_old_file_when_the_rename_fails(
+    monkeypatch: pytest.MonkeyPatch, tmp_path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def refuse(*args: object) -> None:
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    target = tmp_path / "T"
+    target.write_text("old content\n")
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out = run_cli("count", "d", "--r", "2", "--i", "2", "--n", "5", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot write --out {target}: Permission denied\n"
+    assert target.read_text() == "old content\n"
     assert list(tmp_path.iterdir()) == [target]
 
 
