@@ -14,8 +14,7 @@ from gga_verify import cli, hilbert
 from gga_verify.context import RunContext
 from gga_verify.hilbert import build_L_k_ell, hp_brute, hp_notation, hp_split
 from gga_verify.monomial import Monomial, MonomialIdeal, add_var, colon_var, minimalize
-from gga_verify.partitions import count_E, series_E
-from gga_verify.qseries import TruncatedSeries, eq_up_to, product_geometric_inverses, series_one
+from gga_verify.qseries import TruncatedSeries, eq_up_to, product_geometric_inverses
 
 from oracles import (
     classical_partition_count,
@@ -23,7 +22,6 @@ from oracles import (
     random_ideal,
     transcribed_boundary_ideal,
     transcribed_family_ideal,
-    valuation,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -360,44 +358,6 @@ def test_hp_split_canonicalizes_a_hand_built_non_minimal_ideal() -> None:
     assert ideal != MonomialIdeal.build(gens, 1, 15)
     assert hp_split(ideal) == hp_brute(ideal)
     assert hp_split(ideal) == hp_brute(MonomialIdeal.build(gens, 1, 15))
-
-
-def test_partition_bridge() -> None:
-    # coefficient j of the boundary quotient equals the gap-side count
-    for r, i, J in [(2, 2, 0), (3, 1, 1), (3, 2, 2)]:
-        hp = hp_brute(build_L_k_ell(2 * J + 1, i, r, 18))
-        for j in range(19):
-            assert hp[j] == count_E(r, i, J, j)
-
-
-def test_note_N1_through_N3() -> None:
-    n = 18
-    for r in (2, 3):
-        for k in range(1, 8):
-            lhs = hp_notation(k, 1, r, n)
-            rhs = hp_notation(k + 1 if k % 2 == 0 else k + 2, r, r, n)
-            assert eq_up_to(lhs, rhs, n)[0], ("N1", r, k)
-            plain = hp_brute(MonomialIdeal.build(transcribed_family_ideal(k, None, r, n), k, n))
-            assert eq_up_to(hp_notation(k, r, r, n), plain, n)[0], ("N2", r, k)
-        for i in range(1, r + 1):
-            for J in (0, 1):
-                lhs = hp_brute(build_L_k_ell(2 * J + 1, i, r, n))
-                assert eq_up_to(lhs, hp_notation(2 * J + 1, i, r, n), n)[0], ("N3", r, i, J)
-
-
-def test_hp_tail_growth() -> None:
-    n = 20
-    for r in (2, 3):
-        for d in range(4):
-            tail = hp_notation(2 * d + 3, r, r, n) - series_one(n)
-            v = valuation(tail)
-            assert v is not None and v >= 2 * d + 3
-
-
-def test_hp_notation_coefficients_are_gap_counts() -> None:
-    s = hp_notation(3, 2, 2, 16)
-    expected = series_E(2, 2, 1, 16)
-    assert eq_up_to(s, expected, 16)[0]
 
 
 def test_truncation_monotonicity_of_engines() -> None:

@@ -118,17 +118,6 @@ def test_ideal_build_is_a_classmethod() -> None:
     assert MonomialIdeal.build([m(x2=1)], 1, 5) == MonomialIdeal((m(x2=1),), 1, 5)
 
 
-def test_ideal_build_rejects_low_variables() -> None:
-    with pytest.raises(ValueError):
-        MonomialIdeal.build([m(x1=1)], 3, 10)
-
-
-def test_ideal_build_rejects_a_wrong_stored_weight() -> None:
-    # x1^2 stored with weight 1: hp_split would return a wrong series for it
-    with pytest.raises(ValueError, match="stores weight 1"):
-        MonomialIdeal.build([Monomial(1, ((1, 2),))], 1, 10)
-
-
 def test_colon_var_examples() -> None:
     base = MonomialIdeal.build([m(x1=2)], 1, 10)
     assert colon_var(base, 1).gens == (m(x1=1),)

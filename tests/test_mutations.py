@@ -19,15 +19,21 @@ There is one table, and one test, per outcome:
   It raises `NonDivisible` before any identity is compared, and the CLI
   exits 3.
 
-A census maps every clause of the lemma run to the rows that fail it, and
-only the clauses in `UNREACHED` have none.  See DeMillo, Lipton and Sayward,
-"Hints on test data selection", IEEE Computer 11(4), 1978.
+A ledger pins, for each report of the lemma run, its clause labels and the
+arguments of every `c_series` and `hp_notation` call it made, so a clause
+that moves, goes or reads the wrong series fails even while every report
+passes.  Re-record it, on purpose only, with
+`PYTHONPATH=src python tests/test_mutations.py`.  A census maps every clause
+of the ledger to the rows that fail it, and only the clauses in `UNREACHED`
+have none.  See DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+from pathlib import Path
 from types import ModuleType
 from typing import NamedTuple
 
@@ -41,6 +47,7 @@ from oracles import run_cli
 LEMMAS_ARGV = ["verify", "--lemmas", "--r", "2..4", "--i", "all", "--J", "0..1", "--N", "20"]
 HILBERT_ARGV = ["hilbert", "--family", "LriJ", "--r", "3", "--i", "2", "--N", "20"]
 LK_ARGV = ["hilbert", "--family", "Lk", "--k", "3", "--r", "3", "--N", "20"]
+LEDGER = Path(__file__).parent / "golden" / "lemma_ledger.json"
 
 
 class Row(NamedTuple):
@@ -243,16 +250,54 @@ UNREACHED = {
 }
 
 
-def test_every_clause_but_the_unreached_has_a_mutant(monkeypatch) -> None:
-    catalog: set[tuple[str, str]] = set()
+def lemma_ledger() -> list[dict]:
+    """Each report of LEMMAS_ARGV in order: check, params, clause labels and series calls."""
+    ledger: list[dict] = []
+    calls: list[list] = []
     run_clauses = recursion._run_clauses
 
-    def record(check, params, n, clauses):
-        catalog.update((check, label.partition("[")[0]) for label, _, _ in clauses)
+    def recording(name: str):
+        function = getattr(recursion, name)
+
+        def record(*args, **kwargs):
+            calls.append([name, *args])
+            return function(*args, **kwargs)
+
+        return record
+
+    def report(check, params, n, clauses):
+        labels = [label for label, _, _ in clauses]
+        ledger.append({"check": check, "params": dict(params), "clauses": labels, "calls": calls[:]})
+        calls.clear()
         return run_clauses(check, params, n, clauses)
 
-    monkeypatch.setattr(recursion, "_run_clauses", record)
-    assert run_verify(LEMMAS_ARGV)[0] == 0
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("c_series", "hp_notation"):
+            patch.setattr(recursion, name, recording(name))
+        patch.setattr(recursion, "_run_clauses", report)
+        assert run_verify(LEMMAS_ARGV)[0] == 0
+    assert not calls
+    return ledger
+
+
+def test_lemma_run_matches_its_ledger() -> None:
+    recorded = json.loads(LEDGER.read_text())
+    fresh = lemma_ledger()
+    for index, (old, new) in enumerate(zip(recorded, fresh)):
+        assert new == old, f"report {index}: {old['check']} {old['params']}"
+    assert len(fresh) == len(recorded)
+
+
+def test_every_clause_but_the_unreached_has_a_mutant() -> None:
+    catalog = {
+        (report["check"], label.partition("[")[0])
+        for report in json.loads(LEDGER.read_text())
+        for label in report["clauses"]
+    }
     reached = set().union(*(row.pairs for row in MUTANTS))
     assert reached <= catalog
     assert catalog - reached == UNREACHED
+
+
+if __name__ == "__main__":
+    LEDGER.write_text("[\n" + ",\n".join(json.dumps(report) for report in lemma_ledger()) + "\n]\n")

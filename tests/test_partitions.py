@@ -118,9 +118,10 @@ def test_count_E_at_level_zero_equals_count_D() -> None:
 
 
 def test_series_D_equals_series_E_at_level_zero() -> None:
-    # the literal walk against Andrews' frequency form, one walk for every i
-    for i in range(1, 5):
-        assert series_D(4, i, 50) == series_E(4, i, 0, 50), i
+    # the literal walk against Andrews' frequency form
+    for r in range(2, 5):
+        for i in range(1, r + 1):
+            assert series_D(r, i, 50) == series_E(r, i, 0, 50), (r, i)
 
 
 def test_count_E_monotone_in_i() -> None:

@@ -103,31 +103,6 @@ def test_div_q_pow_shrinks_certified_range() -> None:
     assert s.div_q_pow(2).trunc == 2
 
 
-def test_shift_then_div_roundtrip_on_random_series() -> None:
-    rng = random.Random(7)
-    for _ in range(50):
-        w = rng.randint(0, 4)
-        trunc = rng.randint(w, 12)
-        a = from_coeffs([0] * w + [rng.randint(-9, 9) for _ in range(trunc + 1 - w)])
-        quotient = a.div_q_pow(w)
-        # full reconstruction of a through its whole certified range
-        for j in range(a.trunc + 1):
-            expected = quotient.coeffs[j - w] if j >= w else 0
-            assert a.coeffs[j] == expected
-
-
-def test_ring_laws_on_random_triples() -> None:
-    rng = random.Random(20240811)
-    for _ in range(30):
-        n = rng.randint(0, 10)
-        a, b, c = (_random_series(rng, n) for _ in range(3))
-        assert (a + b).coeffs == (b + a).coeffs
-        assert ((a + b) + c).coeffs == (a + (b + c)).coeffs
-        assert (a * b).coeffs == (b * a).coeffs
-        assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
-        assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
-
-
 _series = st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=12).map(from_coeffs)
 
 
@@ -162,18 +137,6 @@ def test_product_geometric_inverses_single_part() -> None:
     assert product_geometric_inverses([1], 4).coeffs == (1, 1, 1, 1, 1)
 
 
-def test_product_geometric_inverses_against_enumeration() -> None:
-    # first congruence-side product: parts 1, 4, 7
-    got = product_geometric_inverses([1, 4, 7], 6)
-    expected = tuple(restricted_partition_count(n, [1, 4, 7]) for n in range(7))
-    assert got.coeffs == expected == (1, 1, 1, 1, 2, 2, 2)
-
-    # second congruence-side product: parts 3, 4, 5
-    got = product_geometric_inverses([3, 4, 5], 7)
-    expected = tuple(restricted_partition_count(n, [3, 4, 5]) for n in range(8))
-    assert got.coeffs == expected == (1, 0, 0, 1, 1, 1, 1, 1)
-
-
 def test_product_geometric_inverses_matches_enumeration_generally() -> None:
     rng = random.Random(3)
     for _ in range(10):
@@ -189,12 +152,6 @@ def test_product_geometric_inverses_rejects_bad_part() -> None:
         product_geometric_inverses([0], 3)
     with pytest.raises(ParamOutOfRange):
         product_geometric_inverses([2, -1], 3)
-
-
-def test_truncation_monotonicity_of_product() -> None:
-    small = product_geometric_inverses([1, 4, 7], 10)
-    large = product_geometric_inverses([1, 4, 7], 25)
-    assert large.coeffs[:11] == small.coeffs
 
 
 def test_pentagonal_terms_invert_the_partition_series() -> None:

@@ -25,10 +25,8 @@ from gga_verify.recursion import (
     stop_depth,
     verify_c_expansion,
     verify_hp_expansion,
-    verify_hp_step,
     verify_limits,
     verify_main,
-    verify_mn_tables,
 )
 
 from oracles import (
@@ -45,14 +43,6 @@ def test_c_series_base_products() -> None:
     assert c_series(2, 2, 7).coeffs == (1, 0, 0, 1, 1, 1, 1, 1)
     for n in range(8):
         assert c_series(2, 1, 7)[n] == restricted_partition_count(n, [1, 4, 7])
-
-
-def test_c_series_extended_index_equals_gap_series() -> None:
-    # index (r-1)J + ell with ell = r - i + 1 must match the gap-side series
-    for r, i, J in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 3, 1), (2, 2, 2)]:
-        ell = r - i + 1
-        got = c_series(r, (r - 1) * J + ell, 24)
-        assert eq_up_to(got, series_E(r, i, J, 24), 24)[0], (r, i, J)
 
 
 def test_c_series_first_extended_value() -> None:
@@ -167,17 +157,6 @@ def test_coeff_table_initial_conditions(data, kind: str, r: int, J: int, n: int)
         assert table.entry(j, d0).coeffs == expected.coeffs, (kind, r, J, anchor, j)
 
 
-def test_coeff_table_m_kind_anchors_mirrored() -> None:
-    n = 25
-    r, J = 3, 0
-    for i in range(1, r + 1):
-        ell = r - i + 1
-        m_table = coeff_table("M", r, J, ell, J + 1, n)
-        n_table = coeff_table("N", r, J, i, J + 1, n)
-        for j in range(1, r + 1):
-            assert m_table.entry(j, J + 1).coeffs == n_table.entry(j, J + 1).coeffs
-
-
 def test_coeff_table_degenerate_anchor_all_mass_at_one() -> None:
     # ell = r puts the single nonzero initial entry at j = 1
     n = 20
@@ -223,12 +202,6 @@ def test_coeff_table_valuation_law() -> None:
                 assert v is None or v >= 2 * d * (j - 1), (kind, r, J, anchor, j, d, v)
 
 
-def test_mn_tables_equal() -> None:
-    for r, i, J in [(2, 1, 0), (2, 2, 1), (3, 2, 0)]:
-        report = verify_mn_tables(r, i, J, J + 3, 30)
-        assert report.passed, report.to_json_dict()
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data(), r=st.integers(2, 6), J=st.integers(0, 3), n=st.integers(0, 40))
 def test_frequency_form_runs_the_n_table(data, r: int, J: int, n: int) -> None:
@@ -253,26 +226,11 @@ def test_frequency_form_runs_the_n_table(data, r: int, J: int, n: int) -> None:
     assert gap == table.entry(1, depth)
 
 
-def test_verify_hp_step_passes() -> None:
-    assert verify_hp_step(2, 1, 2, 0, 20).passed
-    assert verify_hp_step(3, 3, 2, 1, 20).passed
-    assert verify_hp_step(3, 5, 3, 2, 18).passed
-
-
-def test_verify_hp_step_ell_one_degenerates() -> None:
-    report = verify_hp_step(3, 3, 1, 0, 16)
-    assert report.passed
-
-
 def test_verify_hp_expansion_every_depth_to_stop() -> None:
     n = 25
     r, i, J = 2, 2, 0
     for d in range(J + 1, stop_depth(n, J) + 1):
         assert verify_hp_expansion(r, i, J, d, n).passed, d
-
-
-def test_verify_c_expansion_examples() -> None:
-    assert verify_c_expansion(3, 2, 1, 3, 22).passed
 
 
 def test_verify_c_expansion_every_depth_to_stop() -> None:
@@ -323,14 +281,6 @@ def test_report_json_failure_shape() -> None:
     data = report.to_json_dict()
     assert data["pass"] is False
     assert data["first_mismatch"] == {"degree": 3, "lhs": "5", "rhs": "7"}
-
-
-def test_report_by_keyword_equals_report_by_position() -> None:
-    by_keyword = CheckReport(
-        check="demo", params={"r": 2}, passed=False, first_mismatch=Mismatch(3, 5, 7), truncation=9
-    )
-    assert by_keyword == CheckReport("demo", {"r": 2}, False, Mismatch(3, 5, 7), 9)
-    assert by_keyword.passed is False and by_keyword.truncation == 9
 
 
 def test_mismatch_reporting_names_degree_and_values() -> None:

@@ -7,7 +7,7 @@ import pytest
 
 from gga_verify.errors import ParamOutOfRange
 from gga_verify.hilbert import build_L_k_ell, hp_notation
-from gga_verify.monomial import MonomialIdeal, standard_count
+from gga_verify.monomial import Monomial, MonomialIdeal, standard_count
 from gga_verify.partitions import (
     allowed_parts_C,
     count_C,
@@ -139,6 +139,11 @@ GUARDS = {
     "MonomialIdeal.build-below-ring": (
         lambda: MonomialIdeal.build([make_monomial({1: 2, 5: 1})], 3, 10),
         "generator x1^2*x5 uses x_1 below the ambient ring x_3",
+    ),
+    # x1^2 stored with weight 1: hp_split would return a wrong series for it
+    "MonomialIdeal.build-wrong-weight": (
+        lambda: MonomialIdeal.build([Monomial(1, ((1, 2),))], 1, 10),
+        "generator x1^2 stores weight 1, not 2",
     ),
     "TruncatedSeries.shift": (lambda: series_one(3).shift(-1), "negative shift -1"),
     "TruncatedSeries.div_q_pow": (lambda: series_one(3).div_q_pow(-1), "negative power -1"),
