@@ -238,20 +238,18 @@ def verify_hp_step(
     def hp(kk: int, ll: int) -> TruncatedSeries:
         return hp_notation(kk, ll, r, n, ctx=ctx)
 
-    lhs = hp(k, ell)
-    cascade = series_zero(n)
-    for j in range(1, ell + 1):
-        cascade = cascade + hp(k + 2, r - j + 1).shift((k + 1) * (j - 1))
-    rhs = cascade
-    for j in range(1, ell):
-        rhs = rhs + hp(k + 2, r - j + 1).shift((k + 1) * j - 1)
+    # each series is read once: terms[j - 1] is HP(k+2, r-j+1)
+    lhs, even = hp(k, ell), hp(k + 1, ell)
+    terms = [hp(k + 2, r - j + 1) for j in range(1, ell + 1)]
+    cascade = sum((term.shift((k + 1) * j) for j, term in enumerate(terms)), series_zero(n))
+    rhs = sum((term.shift((k + 1) * j - 1) for j, term in enumerate(terms[:-1], 1)), cascade)
 
     clauses = [("full_step", lhs, rhs)]
     if ell == 1:
         clauses.append(("odd_step_degenerate", lhs, hp(k + 2, r)))
     else:
-        clauses.append(("odd_step", lhs, hp(k + 1, ell - 1).shift(k) + hp(k + 1, ell)))
-    clauses.append(("even_cascade", hp(k + 1, ell), cascade))
+        clauses.append(("odd_step", lhs, hp(k + 1, ell - 1).shift(k) + even))
+    clauses.append(("even_cascade", even, cascade))
     return _run_clauses("hp_step", params, n, clauses)
 
 

@@ -176,44 +176,10 @@ def test_verify_flushes_each_report_as_it_is_written() -> None:
     assert stdout.flushed == [1, 2]
 
 
-def test_series_output_roundtrips() -> None:
-    _, out = run_cli("series", "c", "--r", "3", "--index", "4", "--N", "12")
-    data = json.loads(out)
-    series = TruncatedSeries(tuple(int(c) for c in data["coeffs"]))
-    assert series.trunc == data["trunc"] == 12
-
-
-def test_verify_with_lemmas_includes_all_check_kinds() -> None:
-    code, out = run_cli("verify", "--lemmas", "--r", "2", "--i", "2", "--J", "0", "--N", "14")
-    assert code == 0
-    checks = {json.loads(line)["check"] for line in out.strip().split("\n")}
-    assert checks == {"main", "hp_step", "hp_expansion", "c_expansion", "mn_tables", "limits"}
-
-
-def test_verify_matrix_streams_reports() -> None:
-    code, out = run_cli("verify", "--r", "2..3", "--i", "all", "--J", "0..1", "--N", "12")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == (2 + 3) * 2  # every (r, i, J) cell emits one report
-    for line in lines:
-        report = json.loads(line)
-        assert report["pass"] is True
-        assert report["check"] == "main"
-        assert report["truncation"] == 12
-
-
 def test_determinism_byte_identical() -> None:
     first = run_cli("verify", "--r", "2", "--i", "all", "--J", "0", "--N", "10")
     second = run_cli("verify", "--r", "2", "--i", "all", "--J", "0", "--N", "10")
     assert first == second
-
-
-def test_out_flag_writes_file(tmp_path) -> None:
-    target = tmp_path / "reports.jsonl"
-    code, out = run_cli("verify", "--r", "2", "--i", "1", "--J", "0", "--N", "8", "--out", str(target))
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["check"] == "main"
 
 
 def test_out_flag_unwritable_is_usage_error(tmp_path, capsys: pytest.CaptureFixture[str]) -> None:

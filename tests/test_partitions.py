@@ -162,12 +162,6 @@ def test_series_E_examples() -> None:
     assert series_E(3, 2, 2, 5)[0] == 1
 
 
-def test_series_E_coefficients_are_counts() -> None:
-    s = series_E(3, 2, 1, 15)
-    for n in range(16):
-        assert s[n] == count_E(3, 2, 1, n)
-
-
 def test_count_D_matches_descending_filter_oracle() -> None:
     streams = [list(descending_partitions(n)) for n in range(23)]
     for r in range(2, 7):

@@ -242,12 +242,6 @@ def test_valuation() -> None:
     assert valuation(from_coeffs([7])) == 0
 
 
-def test_q_power_and_zero() -> None:
-    assert series_one(4).shift(2).coeffs == (0, 0, 1, 0, 0)
-    assert series_one(4).shift(9).coeffs == (0, 0, 0, 0, 0)
-    assert series_zero(2).coeffs == (0, 0, 0)
-
-
 def test_truncated() -> None:
     s = from_coeffs([1, 2, 3, 4])
     assert s.truncated(1).coeffs == (1, 2)
