@@ -8,16 +8,15 @@ rule for the difference conditions, `gap_conditions_ok`, tested cell by cell
 in either order, instead of the package's one pruned walk per r over the
 admissible partitions only; and one filter over every partition of each
 weight, `standard_monomials`, instead of the package's walk over the standard
-monomials only.  For the gap side there are also a pruned depth-first walk
-over whole partitions and a forward pass over the weight that appends one
-part at a time, instead of the package's pass over part values in Andrews'
-frequency form; the classical pentagonal-number recurrence instead of product
-expansion; the product cascade with fixed-truncation shifts on pentagonal
-bases instead of the package's cascade on placed theta numerators, which
-divides exactly as it goes; and literal restatements of generator families.
-Agreement between these and the package is evidence, not circularity.  The
-seeded random ideals and the in-process CLI runner that several test files
-share live here too.
+monomials only.  For the gap side there is also a forward pass over the
+weight that appends one part at a time, instead of the package's pass over
+part values in Andrews' frequency form; the classical pentagonal-number
+recurrence instead of product expansion; the product cascade with
+fixed-truncation shifts on pentagonal bases instead of the package's cascade
+on placed theta numerators, which divides exactly as it goes; and literal
+restatements of generator families.  Agreement between these and the
+package is evidence, not circularity.  The seeded random ideals and the
+in-process CLI runner that several test files share live here too.
 """
 
 from __future__ import annotations
@@ -80,59 +79,15 @@ def gap_conditions_ok(parts: Sequence[int], r: int) -> bool:
     return True
 
 
-def admissible_D(parts: Sequence[int], r: int, i: int) -> bool:
-    """Level-zero gap-side admissibility: the per-cell filter that checks `count_D`."""
-    if not gap_conditions_ok(parts, r):
-        return False
-    return sum(1 for p in parts if p <= 2) <= i - 1
-
-
 def admissible_E(parts: tuple[int, ...], r: int, i: int, J: int) -> bool:
-    """Generalized gap-side admissibility of non-increasing parts, read literally."""
+    """Generalized gap-side admissibility of non-increasing parts, read literally.
+
+    At J = 0 it is the per-cell filter behind `count_D`.
+    """
     if parts and parts[-1] <= 2 * J:
         return False
     small = sum(1 for p in parts if p <= 2 * J + 2)
     return gap_conditions_ok(parts, r) and small <= i - 1
-
-
-def pruned_count_E(r: int, i: int, J: int, n: int) -> int:
-    """Generalized gap-side count of n, by pruned exhaustive enumeration.
-
-    Parts are generated in non-increasing order with three cuts: the running
-    upper bound forced by the difference condition against the part r-1
-    positions earlier, a skip on repeating an odd value, and an abort once
-    more than i-1 parts of size 2J+1 or 2J+2 have been placed (later parts
-    are no larger, so the bound can never recover).  Exponential in n; keep
-    n small.
-    """
-    min_part = 2 * J + 1
-    boundary_top = 2 * J + 2
-    placed: list[int] = []
-
-    def count(remaining: int, budget: int) -> int:
-        if remaining == 0:
-            return 1
-        hi = min(remaining, placed[-1] if placed else remaining)
-        t = len(placed)
-        if t >= r - 1:
-            anchor = placed[t - (r - 1)]
-            hi = min(hi, anchor - (2 if anchor % 2 == 1 else 3))
-        total = 0
-        for v in range(hi, min_part - 1, -1):
-            if v % 2 == 1 and placed and placed[-1] == v:
-                continue
-            rest = remaining - v
-            if rest and rest < min_part:
-                continue
-            b = budget - 1 if v <= boundary_top else budget
-            if b < 0:
-                break
-            placed.append(v)
-            total += count(rest, b)
-            placed.pop()
-        return total
-
-    return count(n, i - 1)
 
 
 def forward_dp_series_E(r: int, i: int, J: int, n: int) -> TruncatedSeries:

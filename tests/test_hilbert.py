@@ -78,27 +78,25 @@ def test_hp_split_free_quotient_is_geometric_product() -> None:
         assert hp_split(free).coeffs == expected.coeffs
 
 
-def _ideal(gens: list[dict[int, int]], trunc: int) -> MonomialIdeal:
-    return MonomialIdeal.build([make_monomial(exps) for exps in gens], 1, trunc)
-
-
-# Ideals whose two engines must agree, each with the reason it is here.
+# Ideals whose two engines must agree, each with the reason it is here:
+# generators as exponent dicts, then the truncation.
 SPLIT_VS_BRUTE = [
     # one square: the smallest ideal with a colon step
-    pytest.param(_ideal([{1: 2}], 12), id="single-square"),
+    pytest.param([{1: 2}], 12, id="single-square"),
     # single-variable generators: the add branch is a fixed point there, so
     # the pivot rule must never select one of them
-    pytest.param(_ideal([{1: 1}, {2: 2}, {3: 1, 4: 1}], 15), id="killed-variables"),
+    pytest.param([{1: 1}, {2: 2}, {3: 1, 4: 1}], 15, id="killed-variables"),
     # dense repeated variables: every split must still terminate
     pytest.param(
-        _ideal([{1: 5}, {1: 4, 2: 3}, {1: 2, 2: 2, 3: 2}, {2: 4, 4: 1}], 20),
+        [{1: 5}, {1: 4, 2: 3}, {1: 2, 2: 2, 3: 2}, {2: 4, 4: 1}], 20,
         id="dense-repeated-variables",
     ),
 ]
 
 
-@pytest.mark.parametrize("ideal", SPLIT_VS_BRUTE)
-def test_hp_split_equals_hp_brute(ideal: MonomialIdeal) -> None:
+@pytest.mark.parametrize("gens, trunc", SPLIT_VS_BRUTE)
+def test_hp_split_equals_hp_brute(gens: list[dict[int, int]], trunc: int) -> None:
+    ideal = MonomialIdeal.build([make_monomial(exps) for exps in gens], 1, trunc)
     assert hp_split(ideal) == hp_brute(ideal)
 
 

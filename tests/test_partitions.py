@@ -16,13 +16,11 @@ from gga_verify.partitions import (
 from gga_verify.recursion import c_series
 
 from oracles import (
-    admissible_D,
     admissible_E,
     classical_partition_count,
     descending_partitions,
     forward_dp_series_E,
     gap_conditions_ok,
-    pruned_count_E,
     restricted_partition_count,
 )
 
@@ -84,21 +82,9 @@ def test_count_C_matches_exhaustive_enumeration() -> None:
             assert count_C(r, i, n) == restricted_partition_count(n, parts)
 
 
-def test_count_D_examples() -> None:
-    assert count_D(2, 2, 5) == 2  # (5) and (4,1)
-    assert count_D(2, 2, 6) == 2  # (6) and (5,1)
-    assert count_D(2, 1, 1) == 0  # no parts equal to 1 or 2 allowed
-
-
 def test_count_D_survivors_listed() -> None:
-    survivors = [p for p in descending_partitions(5) if admissible_D(p, 2, 2)]
+    survivors = [p for p in descending_partitions(5) if admissible_E(p, 2, 2, 0)]
     assert survivors == [(5,), (4, 1)]
-
-
-def test_count_E_examples() -> None:
-    assert count_E(2, 2, 1, 7) == 1  # only (7); (4,3) fails the even-gap condition
-    assert count_E(2, 2, 1, 2) == 0  # no parts <= 2J allowed
-    assert count_E(3, 1, 0, 0) == 1
 
 
 def test_count_E_matches_double_filter_oracle() -> None:
@@ -124,18 +110,6 @@ def test_series_D_equals_series_E_at_level_zero() -> None:
             assert series_D(r, i, 50) == series_E(r, i, 0, 50), (r, i)
 
 
-def test_count_E_monotone_in_i() -> None:
-    for r in (2, 3):
-        for J in (0, 1):
-            for n in range(18):
-                previous = None
-                for i in range(1, r + 1):
-                    value = count_E(r, i, J, n)
-                    if previous is not None:
-                        assert value >= previous
-                    previous = value
-
-
 def test_boundary_condition_vacuous_for_deep_partitions() -> None:
     # partitions with all parts > 2J+2 are counted at level J iff at level J+1
     r, i = 2, 2
@@ -153,7 +127,7 @@ def test_gap_conditions_vacuous_for_short_partitions() -> None:
                 continue
             no_odd_repeat = all(not (a == b and a % 2 == 1) for a, b in zip(p, p[1:]))
             boundary_ok = sum(1 for x in p if x <= 2) <= i - 1
-            assert admissible_D(p, r, i) == (no_odd_repeat and boundary_ok)
+            assert admissible_E(p, r, i, 0) == (no_odd_repeat and boundary_ok)
 
 
 def test_series_E_examples() -> None:
@@ -167,7 +141,7 @@ def test_count_D_matches_descending_filter_oracle() -> None:
     for r in range(2, 7):
         for i in range(1, r + 1):
             for n, stream in enumerate(streams):
-                brute = sum(admissible_D(p, r, i) for p in stream)
+                brute = sum(admissible_E(p, r, i, 0) for p in stream)
                 assert count_D(r, i, n) == brute, (r, i, n)
 
 
@@ -175,7 +149,7 @@ def test_count_D_matches_descending_filter_oracle() -> None:
 @given(data=st.data(), r=st.integers(2, 7), n=st.integers(0, 24))
 def test_count_D_equals_the_per_cell_filter(data: st.DataObject, r: int, n: int) -> None:
     i = data.draw(st.integers(1, r), label="i")
-    brute = sum(admissible_D(p, r, i) for p in descending_partitions(n))
+    brute = sum(admissible_E(p, r, i, 0) for p in descending_partitions(n))
     assert count_D(r, i, n) == brute
 
 
@@ -186,27 +160,23 @@ def test_gap_conditions_independent_of_order(parts: list[int], r: int) -> None:
     assert gap_conditions_ok(p, r) == gap_conditions_ok(p[::-1], r)
 
 
-def test_series_E_matches_pruned_walk_grid() -> None:
+def test_series_E_matches_forward_pass_grid() -> None:
     for r in range(2, 7):
         for i in range(1, r + 1):
             for J in range(3):
-                walk = tuple(pruned_count_E(r, i, J, m) for m in range(31))
-                assert series_E(r, i, J, 30).coeffs == walk, (r, i, J)
-                if r <= 5:
-                    # the forward pass over the weight reaches further than the walk
-                    assert series_E(r, i, J, 50) == forward_dp_series_E(r, i, J, 50), (r, i, J)
+                for n in (30, 50) if r <= 5 else (30,):
+                    assert series_E(r, i, J, n) == forward_dp_series_E(r, i, J, n), (r, i, J, n)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data(), r=st.integers(2, 6), J=st.integers(0, 3), n=st.integers(0, 40))
-def test_series_E_equals_pruned_walk(data: st.DataObject, r: int, J: int, n: int) -> None:
+def test_series_E_equals_forward_pass(data: st.DataObject, r: int, J: int, n: int) -> None:
     i = data.draw(st.integers(1, r), label="i")
-    walk = tuple(pruned_count_E(r, i, J, m) for m in range(n + 1))
-    assert series_E(r, i, J, n).coeffs == walk
+    assert series_E(r, i, J, n) == forward_dp_series_E(r, i, J, n)
 
 
 def test_series_E_reaches_level_zero_identity_at_200() -> None:
-    # far beyond the pruned walk: at J = 0 the gap side is the product of index r - i + 1
+    # far beyond the partition filters: at J = 0 the gap side is the product of index r - i + 1
     for i in (1, 2):
         assert series_E(2, i, 0, 200) == c_series(2, 3 - i, 200), i
     for i in range(1, 5):
